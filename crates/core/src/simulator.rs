@@ -27,7 +27,7 @@ use mem_trace::{
     AccessKind, BlockRef, Geometry, GlobalAddr, MemRef, NodeId, PageInterner, PageRef, ProcId,
     ProgramTrace, Slab, TraceError, TraceEvent, TraceSource, MAX_LOCK_ID,
 };
-use sim_engine::{Cycles, ProcScheduler, Scheduler};
+use sim_engine::{sched_key, Cycles, ProcScheduler, Scheduler};
 use smp_node::cache::{CacheOutcome, LineState, Victim};
 use smp_node::classify::MissClass;
 use smp_node::page_table::{PageMapping, PageMode, PageProtection};
@@ -178,6 +178,13 @@ impl EventFeed {
     }
 }
 
+/// The schedule's head as a [`sched_key`], or `u128::MAX` (above every
+/// key) when nothing is pending.
+#[inline]
+fn horizon_key<Q: Scheduler>(queue: &mut Q) -> u128 {
+    queue.peek().map_or(u128::MAX, |(t, q)| sched_key(t, q))
+}
+
 pub(crate) struct RunState<'a> {
     machine: &'a MachineConfig,
     system: &'a SystemConfig,
@@ -309,21 +316,27 @@ impl<'a> RunState<'a> {
             }
         }
 
-        'sched: while let Some((_, p)) = queue.pop() {
+        // A processor that loses the schedule is re-queued and the winner
+        // taken in one step (`Scheduler::push_pop`, one heap sift); the
+        // loop pops only when no such hand-over is pending.
+        let mut handed_over: Option<(Cycles, u16)> = None;
+        'sched: while let Some((_, p)) = handed_over.take().or_else(|| queue.pop()) {
             let pid = p as usize;
             // Run `p` for as long as it remains the schedule's minimum.
             // After each event the advanced clock is compared against the
-            // heap's head in the scheduler's own `(clock, proc id)` order:
-            // when popping would hand `p` straight back, the push/pop round
-            // trip is skipped.  The interleaving is bit-identical to the
-            // push-always loop — only the heap traffic is gone.
+            // heap's head in the scheduler's own `(clock, proc id)` order,
+            // packed into one integer (`sched_key`; `u128::MAX` when the
+            // heap is empty): when popping would hand `p` straight back, the
+            // push/pop round trip is skipped.  The interleaving is
+            // bit-identical to the push-always loop — only the heap traffic
+            // is gone.
             //
             // The head itself is read once per batch, not once per event:
             // while `p` runs, nothing else pushes into the scheduler (see
             // `Scheduler::peek`'s contract), so the horizon is invariant
             // until this loop's one mid-batch push — an unlock handoff —
             // refreshes it.
-            let mut horizon = queue.peek();
+            let mut horizon = horizon_key(queue);
             loop {
                 let Some(ev) = feeds[pid].next(source, ProcId(p)) else {
                     // A stream that ends early because the source gave up
@@ -441,7 +454,7 @@ impl<'a> RunState<'a> {
                                 queue.push(self.procs[wi].time, w);
                                 // The one push that happens while `p` keeps
                                 // running: the cached horizon is stale.
-                                horizon = queue.peek();
+                                horizon = horizon_key(queue);
                             } else {
                                 self.procs[wi].done = true;
                             }
@@ -456,11 +469,9 @@ impl<'a> RunState<'a> {
                     continue 'sched;
                 }
                 let time = self.procs[pid].time;
-                if let Some(head) = horizon {
-                    if (time, p) >= head {
-                        queue.push(time, p);
-                        continue 'sched;
-                    }
+                if sched_key(time, p) >= horizon {
+                    handed_over = Some(queue.push_pop(time, p));
+                    continue 'sched;
                 }
                 // Heap empty, or (time, p) orders before its head: `p` is
                 // exactly what `pop` would return.  Go around again.

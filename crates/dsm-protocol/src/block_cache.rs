@@ -12,7 +12,7 @@
 //! making the perfect cache's lookups array accesses and its page flushes
 //! 64-slot scans instead of whole-table walks.
 
-use mem_trace::{BlockRef, Geometry, PageRef, Slab};
+use mem_trace::{BlockRef, DirectMap, Geometry, PageRef, Slab};
 
 /// State of a block held in the block cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,6 +60,7 @@ impl BlockCacheConfig {
 
 enum Storage {
     Finite {
+        map: DirectMap,
         tags: Vec<Option<BlockRef>>,
         states: Vec<BlockState>,
     },
@@ -99,6 +100,7 @@ impl BlockCache {
             Some(lines) => {
                 assert!(lines > 0, "block cache must have at least one line");
                 Storage::Finite {
+                    map: DirectMap::new(lines),
                     tags: vec![None; lines],
                     states: vec![BlockState::Clean; lines],
                 }
@@ -132,8 +134,8 @@ impl BlockCache {
     #[inline]
     pub fn state_of(&self, block: BlockRef) -> Option<BlockState> {
         match &self.storage {
-            Storage::Finite { tags, states } => {
-                let idx = (block.id.0 % tags.len() as u64) as usize;
+            Storage::Finite { map, tags, states } => {
+                let idx = map.line_of(block.id);
                 if tags[idx] == Some(block) {
                     Some(states[idx])
                 } else {
@@ -159,8 +161,8 @@ impl BlockCache {
     /// line was occupied by a different block.
     pub fn fill(&mut self, block: BlockRef, state: BlockState) -> Option<(BlockRef, BlockState)> {
         match &mut self.storage {
-            Storage::Finite { tags, states } => {
-                let idx = (block.id.0 % tags.len() as u64) as usize;
+            Storage::Finite { map, tags, states } => {
+                let idx = map.line_of(block.id);
                 let victim = match tags[idx] {
                     Some(old) if old != block => {
                         self.evictions += 1;
@@ -187,8 +189,8 @@ impl BlockCache {
     /// Returns `false` if the block is not resident.
     pub fn mark_dirty(&mut self, block: BlockRef) -> bool {
         match &mut self.storage {
-            Storage::Finite { tags, states } => {
-                let idx = (block.id.0 % tags.len() as u64) as usize;
+            Storage::Finite { map, tags, states } => {
+                let idx = map.line_of(block.id);
                 if tags[idx] == Some(block) {
                     states[idx] = BlockState::Dirty;
                     true
@@ -211,8 +213,8 @@ impl BlockCache {
     /// Remove `block` (remote invalidation); returns its state if present.
     pub fn invalidate(&mut self, block: BlockRef) -> Option<BlockState> {
         match &mut self.storage {
-            Storage::Finite { tags, states } => {
-                let idx = (block.id.0 % tags.len() as u64) as usize;
+            Storage::Finite { map, tags, states } => {
+                let idx = map.line_of(block.id);
                 if tags[idx] == Some(block) {
                     tags[idx] = None;
                     Some(states[idx])
@@ -238,7 +240,7 @@ impl BlockCache {
         let mut flushed = Vec::new();
         let geometry = self.geometry;
         match &mut self.storage {
-            Storage::Finite { tags, states } => {
+            Storage::Finite { tags, states, .. } => {
                 for idx in 0..tags.len() {
                     if let Some(b) = tags[idx] {
                         if geometry.page_of_block_idx(b.idx) == page.idx {

@@ -64,40 +64,94 @@ impl Geometry {
         }
     }
 
+    /// log2 of the page size.  Both sizes are powers of two ([`Geometry::new`]
+    /// asserts it), so every decomposition below is a shift or a mask, not
+    /// a division by a runtime value.
+    #[inline]
+    fn page_shift(self) -> u32 {
+        self.page_bytes.trailing_zeros()
+    }
+
+    /// log2 of the block size.
+    #[inline]
+    fn block_shift(self) -> u32 {
+        self.block_bytes.trailing_zeros()
+    }
+
+    /// log2 of the number of blocks per page.
+    #[inline]
+    pub(crate) fn blocks_per_page_shift(self) -> u32 {
+        self.page_shift() - self.block_shift()
+    }
+
     /// Number of cache blocks per page.
     #[inline]
     pub fn blocks_per_page(self) -> u64 {
-        self.page_bytes / self.block_bytes
+        1 << self.blocks_per_page_shift()
     }
 
     /// The page containing `addr`.
     #[inline]
     pub fn page_of(self, addr: GlobalAddr) -> PageId {
-        PageId(addr.0 / self.page_bytes)
+        PageId(addr.0 >> self.page_shift())
     }
 
     /// The block containing `addr`.
     #[inline]
     pub fn block_of(self, addr: GlobalAddr) -> BlockId {
-        BlockId(addr.0 / self.block_bytes)
+        BlockId(addr.0 >> self.block_shift())
     }
 
     /// The page containing `block`.
     #[inline]
     pub fn page_of_block(self, block: BlockId) -> PageId {
-        PageId(block.0 / self.blocks_per_page())
+        PageId(block.0 >> self.blocks_per_page_shift())
     }
 
     /// Index of `block` within its page (`0 .. blocks_per_page`).
     #[inline]
     pub fn index_in_page(self, block: BlockId) -> u64 {
-        block.0 % self.blocks_per_page()
+        block.0 & (self.blocks_per_page() - 1)
     }
 
     /// The first block of `page`.
     #[inline]
     pub fn first_block(self, page: PageId) -> BlockId {
-        BlockId(page.0 * self.blocks_per_page())
+        BlockId(page.0 << self.blocks_per_page_shift())
+    }
+}
+
+/// The line a block maps to in a direct-mapped cache of `lines` lines:
+/// `block id mod lines`, computed with a mask when `lines` is a power of
+/// two (every cache the paper configures) and with a division otherwise.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DirectMap {
+    lines: u64,
+    /// `lines - 1` when `lines` is a power of two.
+    mask: Option<u64>,
+}
+
+impl DirectMap {
+    /// A mapping onto `lines` lines.
+    ///
+    /// # Panics
+    /// Panics if `lines` is zero.
+    pub fn new(lines: usize) -> Self {
+        assert!(lines > 0, "a direct-mapped cache needs at least one line");
+        let lines = lines as u64;
+        DirectMap {
+            lines,
+            mask: lines.is_power_of_two().then(|| lines - 1),
+        }
+    }
+
+    /// The line `block` maps to (`0 .. lines`).
+    #[inline]
+    pub fn line_of(self, block: BlockId) -> usize {
+        match self.mask {
+            Some(mask) => (block.0 & mask) as usize,
+            None => (block.0 % self.lines) as usize,
+        }
     }
 }
 
@@ -384,5 +438,44 @@ mod tests {
         assert_eq!(BLOCKS_PER_PAGE * BLOCK_SIZE, PAGE_SIZE);
         assert!(BLOCK_SIZE.is_power_of_two());
         assert!(PAGE_SIZE.is_power_of_two());
+    }
+
+    #[test]
+    fn geometry_shifts_match_division() {
+        let geometries = [
+            Geometry::PAPER,
+            Geometry::new(8192, 128),
+            Geometry::new(1024, 32),
+            Geometry::new(4096, 4096),
+            Geometry::new(1 << 20, 1),
+        ];
+        let addrs = [0u64, 1, 63, 64, 4095, 4096, 123_456_789, u64::MAX];
+        for g in geometries {
+            let per_page = g.page_bytes / g.block_bytes;
+            assert_eq!(g.blocks_per_page(), per_page);
+            for a in addrs {
+                let block = g.block_of(GlobalAddr(a));
+                assert_eq!(g.page_of(GlobalAddr(a)).0, a / g.page_bytes);
+                assert_eq!(block.0, a / g.block_bytes);
+                assert_eq!(g.page_of_block(block).0, block.0 / per_page);
+                assert_eq!(g.index_in_page(block), block.0 % per_page);
+                let page = g.page_of(GlobalAddr(a));
+                assert_eq!(g.first_block(page).0, page.0.wrapping_mul(per_page));
+            }
+        }
+    }
+
+    #[test]
+    fn direct_map_is_block_id_modulo_lines() {
+        for lines in [1usize, 2, 3, 256, 1000, 1024] {
+            let map = DirectMap::new(lines);
+            for id in [0u64, 1, 255, 256, 999, 1_000_003, u64::MAX] {
+                assert_eq!(
+                    map.line_of(BlockId(id)) as u64,
+                    id % lines as u64,
+                    "{lines}"
+                );
+            }
+        }
     }
 }

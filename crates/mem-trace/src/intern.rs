@@ -152,24 +152,24 @@ impl Geometry {
     #[inline]
     pub fn block_idx(self, page: PageIdx, offset: u64) -> BlockIdx {
         debug_assert!(offset < self.blocks_per_page());
-        BlockIdx(page.0 * self.blocks_per_page() as u32 + offset as u32)
+        BlockIdx((page.0 << self.blocks_per_page_shift()) + offset as u32)
     }
 
     /// The dense index of the page containing dense block `block`.
     #[inline]
     pub fn page_of_block_idx(self, block: BlockIdx) -> PageIdx {
-        PageIdx(block.0 / self.blocks_per_page() as u32)
+        PageIdx(block.0 >> self.blocks_per_page_shift())
     }
 
     /// Index of dense block `block` within its page.
     #[inline]
     pub fn index_in_page_idx(self, block: BlockIdx) -> u64 {
-        u64::from(block.0) % self.blocks_per_page()
+        u64::from(block.0) & (self.blocks_per_page() - 1)
     }
 
     /// Iterate over the dense indices of every block of `page`.
     pub fn block_indices(self, page: PageIdx) -> impl Iterator<Item = BlockIdx> {
-        let first = page.0 * self.blocks_per_page() as u32;
+        let first = page.0 << self.blocks_per_page_shift();
         (first..first + self.blocks_per_page() as u32).map(BlockIdx)
     }
 

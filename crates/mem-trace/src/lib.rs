@@ -40,8 +40,8 @@ pub mod trace;
 
 pub use access::{AccessKind, MemRef, TraceEvent};
 pub use addr::{
-    BlockId, Geometry, GlobalAddr, NodeId, PageId, ProcId, Topology, BLOCKS_PER_PAGE, BLOCK_SIZE,
-    PAGE_SIZE,
+    BlockId, DirectMap, Geometry, GlobalAddr, NodeId, PageId, ProcId, Topology, BLOCKS_PER_PAGE,
+    BLOCK_SIZE, PAGE_SIZE,
 };
 pub use builder::{EventSink, StepWriter, TraceBuilder, TraceWriter};
 pub use intern::{BlockIdx, BlockRef, PageIdx, PageInterner, PageRef, Slab};

@@ -28,7 +28,7 @@
 //! for traces whose processors finish at very different points.
 
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::access::{MemRef, TraceEvent};
@@ -128,24 +128,39 @@ enum Record {
     EndOfFile,
 }
 
+/// Bytes read from the file per refill of a [`ReplaySource`]'s chunk.
+const CHUNK_BYTES: usize = 64 * 1024;
+
+/// The longest record: processor, tag and an eight-byte address.
+const MAX_RECORD_BYTES: usize = 11;
+
 /// A [`TraceSource`] replaying a recorded trace file.
 ///
-/// The file is read strictly forward; events for processors other than the
-/// one currently being pulled are parked in small per-processor queues.
+/// The file is read strictly forward, in 64 KB chunks that
+/// records are decoded from in memory; events for processors other than
+/// the one currently being pulled are parked in small per-processor queues.
 /// With the fair interleaving [`record`] writes, those queues stay at about
 /// one event per processor, and the per-processor end markers answer
-/// exhaustion queries without reading ahead.
+/// exhaustion queries without reading ahead: the chunk reads bytes ahead,
+/// but records are only decoded (and parked) up to the first one that
+/// concerns the processor being pulled.
 pub struct ReplaySource<R: Read> {
     name: String,
     topology: Topology,
+    /// `None` once the file ended (or the window cap poisoned the demux).
     reader: Option<R>,
+    /// Bytes read but not yet decoded are `chunk[pos..len]`.
+    chunk: Box<[u8]>,
+    pos: usize,
+    len: usize,
     demux: Demux,
 }
 
-impl ReplaySource<BufReader<File>> {
-    /// Open a recorded trace file for replay.
+impl ReplaySource<File> {
+    /// Open a recorded trace file for replay.  The source reads the file in
+    /// its own chunks, so the file is not wrapped in a `BufReader`.
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::from_reader(BufReader::new(File::open(path)?))
+        Self::from_reader(File::open(path)?)
     }
 }
 
@@ -187,6 +202,9 @@ impl<R: Read> ReplaySource<R> {
             name,
             topology,
             reader: Some(reader),
+            chunk: vec![0; CHUNK_BYTES].into_boxed_slice(),
+            pos: 0,
+            len: 0,
             demux: Demux::new(topology),
         })
     }
@@ -198,83 +216,141 @@ impl<R: Read> ReplaySource<R> {
         self
     }
 
-    /// Read one record.
-    fn read_record(reader: &mut R) -> io::Result<Record> {
-        let mut head = [0u8; 3];
-        // Distinguish clean EOF (no bytes of a record) from truncation.
-        let n = reader.read(&mut head[..1])?;
-        if n == 0 {
-            return Ok(Record::EndOfFile);
-        }
-        reader.read_exact(&mut head[1..])?;
-        let proc = u16::from_le_bytes([head[0], head[1]]);
-        let tag = head[2];
-        let ev = match tag {
-            0 | 1 => {
-                let mut b = [0u8; 8];
-                reader.read_exact(&mut b)?;
-                let addr = GlobalAddr(u64::from_le_bytes(b));
-                if tag == 1 {
-                    TraceEvent::Access(MemRef::write(addr))
-                } else {
-                    TraceEvent::Access(MemRef::read(addr))
-                }
-            }
-            2..=5 => {
-                let mut b = [0u8; 4];
-                reader.read_exact(&mut b)?;
-                let v = u32::from_le_bytes(b);
-                match tag {
-                    2 => TraceEvent::Compute(v),
-                    3 => TraceEvent::Barrier(v),
-                    4 => TraceEvent::Lock(v),
-                    _ => TraceEvent::Unlock(v),
-                }
-            }
-            6 => return Ok(Record::EndOfStream(proc)),
-            _ => return Err(corrupt("unknown event tag")),
+    /// Make at least `need` undecoded bytes available, reading more of the
+    /// file as required.  Returns how many are available, which is fewer
+    /// than `need` only at end of file.
+    fn fill(&mut self, need: usize) -> io::Result<usize> {
+        let Some(reader) = &mut self.reader else {
+            return Ok(self.len - self.pos);
         };
-        Ok(Record::Event(proc, ev))
+        if self.len - self.pos >= need {
+            return Ok(self.len - self.pos);
+        }
+        self.chunk.copy_within(self.pos..self.len, 0);
+        self.len -= self.pos;
+        self.pos = 0;
+        while self.len < need {
+            match reader.read(&mut self.chunk[self.len..]) {
+                Ok(0) => break,
+                Ok(n) => self.len += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(self.len)
     }
 
-    /// Advance the file by one record into the demux buffers.  Returns
-    /// `false` at end of file.
+    /// Decode the next record from the chunk.
+    #[inline]
+    fn read_record(&mut self) -> io::Result<Record> {
+        if self.len - self.pos < MAX_RECORD_BYTES {
+            // Near the end of the chunk: top it up so the record is whole.
+            // Distinguish clean EOF (no bytes of a record) from truncation.
+            let available = self.fill(MAX_RECORD_BYTES)?;
+            if available == 0 {
+                return Ok(Record::EndOfFile);
+            }
+            if available < 3 {
+                return Err(truncated());
+            }
+        }
+        let bytes = &self.chunk[self.pos..self.len];
+        let proc = u16::from_le_bytes([bytes[0], bytes[1]]);
+        let tag = bytes[2];
+        let payload = match tag {
+            0 | 1 => 8,
+            2..=5 => 4,
+            6 => 0,
+            _ => return Err(corrupt("unknown event tag")),
+        };
+        let Some(body) = bytes.get(3..3 + payload) else {
+            return Err(truncated());
+        };
+        let record = match tag {
+            0 | 1 => {
+                let mut b = [0u8; 8];
+                b.copy_from_slice(body);
+                let addr = GlobalAddr(u64::from_le_bytes(b));
+                Record::Event(
+                    proc,
+                    TraceEvent::Access(if tag == 1 {
+                        MemRef::write(addr)
+                    } else {
+                        MemRef::read(addr)
+                    }),
+                )
+            }
+            2..=5 => {
+                let v = u32::from_le_bytes([body[0], body[1], body[2], body[3]]);
+                Record::Event(
+                    proc,
+                    match tag {
+                        2 => TraceEvent::Compute(v),
+                        3 => TraceEvent::Barrier(v),
+                        4 => TraceEvent::Lock(v),
+                        _ => TraceEvent::Unlock(v),
+                    },
+                )
+            }
+            _ => Record::EndOfStream(proc),
+        };
+        self.pos += 3 + payload;
+        Ok(record)
+    }
+
+    /// Advance the file into the demux buffers up to and including the
+    /// first record that concerns `want` (an event or its end marker) —
+    /// exactly the records a record-at-a-time reader would have parked
+    /// before `want` could be answered.  Returns `false` at end of file.
     ///
     /// # Panics
     /// Panics if the file is truncated or corrupt past the header — the
     /// format is self-produced, so this indicates a damaged file, and the
     /// pull-based [`TraceSource`] API has no error channel.
-    fn pump(&mut self) -> bool {
-        let Some(reader) = &mut self.reader else {
+    fn pump(&mut self, want: ProcId) -> bool {
+        if self.reader.is_none() {
             return false;
-        };
+        }
         let procs = self.topology.total_procs();
-        match Self::read_record(reader) {
-            Ok(Record::Event(p, ev)) if (p as usize) < procs => {
-                self.demux.push(ProcId(p), ev);
-                if self.demux.is_poisoned() {
+        loop {
+            match self.read_record() {
+                Ok(Record::Event(p, ev)) if (p as usize) < procs => {
+                    self.demux.push(ProcId(p), ev);
+                    if self.demux.is_poisoned() {
+                        self.reader = None;
+                        return false;
+                    }
+                    if p == want.0 {
+                        return true;
+                    }
+                }
+                Ok(Record::EndOfStream(p)) if (p as usize) < procs => {
+                    self.demux.end(ProcId(p));
+                    if p == want.0 {
+                        return true;
+                    }
+                }
+                Ok(Record::Event(p, _)) | Ok(Record::EndOfStream(p)) => {
+                    // dsm-lint: allow(panic-path, TraceSource::next_event has no error channel; corrupt replay files are CLI operator input — the service cannot construct Replay workloads — and fail fast by design)
+                    panic!("corrupt trace file: record for processor {p} outside the topology");
+                }
+                Ok(Record::EndOfFile) => {
                     self.reader = None;
+                    self.demux.end_all();
                     return false;
                 }
-                true
-            }
-            Ok(Record::EndOfStream(p)) if (p as usize) < procs => {
-                self.demux.end(ProcId(p));
-                true
-            }
-            Ok(Record::Event(p, _)) | Ok(Record::EndOfStream(p)) => {
                 // dsm-lint: allow(panic-path, TraceSource::next_event has no error channel; corrupt replay files are CLI operator input — the service cannot construct Replay workloads — and fail fast by design)
-                panic!("corrupt trace file: record for processor {p} outside the topology");
+                Err(e) => panic!("replaying trace {}: {e}", self.name),
             }
-            Ok(Record::EndOfFile) => {
-                self.reader = None;
-                self.demux.end_all();
-                false
-            }
-            // dsm-lint: allow(panic-path, TraceSource::next_event has no error channel; corrupt replay files are CLI operator input — the service cannot construct Replay workloads — and fail fast by design)
-            Err(e) => panic!("replaying trace {}: {e}", self.name),
         }
     }
+}
+
+fn truncated() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::UnexpectedEof,
+        "corrupt trace file: truncated record",
+    )
 }
 
 impl<R: Read> TraceSource for ReplaySource<R> {
@@ -291,7 +367,7 @@ impl<R: Read> TraceSource for ReplaySource<R> {
             if let Some(ev) = self.demux.pop(proc) {
                 return Some(ev);
             }
-            if self.demux.is_ended(proc) || !self.pump() {
+            if self.demux.is_ended(proc) || !self.pump(proc) {
                 return None;
             }
         }
@@ -302,7 +378,7 @@ impl<R: Read> TraceSource for ReplaySource<R> {
             if self.demux.has_buffered(proc) {
                 return false;
             }
-            if self.demux.is_ended(proc) || !self.pump() {
+            if self.demux.is_ended(proc) || !self.pump(proc) {
                 return true;
             }
         }
@@ -317,7 +393,7 @@ impl<R: Read> TraceSource for ReplaySource<R> {
             if n > 0 {
                 return n;
             }
-            if self.demux.is_ended(proc) || !self.pump() {
+            if self.demux.is_ended(proc) || !self.pump(proc) {
                 return 0;
             }
         }
@@ -453,6 +529,177 @@ mod tests {
             Ok(_) => panic!("oversized topology accepted"),
         };
         assert!(err.to_string().contains("processor id space"), "{err}");
+    }
+
+    /// A header for a `nodes` x `procs_per_node` trace named `"t"`.
+    fn header(nodes: u16, procs_per_node: u16) -> Vec<u8> {
+        let mut bytes = TRACE_MAGIC.to_vec();
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.push(b't');
+        bytes.extend_from_slice(&nodes.to_le_bytes());
+        bytes.extend_from_slice(&procs_per_node.to_le_bytes());
+        bytes
+    }
+
+    /// A reader handing out at most three bytes per `read` call, so every
+    /// record straddles read boundaries at every possible offset.
+    struct Dribble<'a>(&'a [u8]);
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(3).min(self.0.len());
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    /// Every event kind, on processors that finish at different points.
+    fn mixed_trace() -> ProgramTrace {
+        let topo = Topology::new(3, 2);
+        let mut b = TraceBuilder::new("mixed", topo).with_think_cycles(3);
+        for i in 0..200u64 {
+            let p = ProcId((i % 6) as u16);
+            if i % 3 == 0 {
+                b.write(p, GlobalAddr(i * 72));
+            } else {
+                b.read(p, GlobalAddr(u64::MAX - i * 4096));
+            }
+            if i % 50 == 7 {
+                b.lock(p, i as u32);
+                b.compute(p, u32::MAX - i as u32);
+                b.unlock(p, i as u32);
+            }
+            if i % 64 == 63 {
+                b.barrier_all();
+            }
+        }
+        for i in 0..300u64 {
+            b.read(ProcId(4), GlobalAddr(i * 64));
+        }
+        b.build()
+    }
+
+    /// Drain `replay` in bursts of `burst`, cycling over the processors.
+    fn drain_in_bursts<R: Read>(
+        replay: &mut ReplaySource<R>,
+        burst: usize,
+    ) -> Vec<Vec<TraceEvent>> {
+        let procs = replay.topology().total_procs();
+        let mut got = vec![Vec::new(); procs];
+        let mut live = procs;
+        while live > 0 {
+            live = 0;
+            for (p, events) in got.iter_mut().enumerate() {
+                if replay.next_burst(ProcId(p as u16), events, burst) > 0 {
+                    live += 1;
+                }
+            }
+        }
+        got
+    }
+
+    #[test]
+    fn replay_through_a_dribbling_reader_is_bit_identical() {
+        let trace = mixed_trace();
+        let mut bytes = Vec::new();
+        record(&mut trace.source(), &mut bytes).unwrap();
+        for burst in [1, 5, 128] {
+            let mut plain = ReplaySource::from_reader(&bytes[..]).unwrap();
+            let mut dribbled = ReplaySource::from_reader(Dribble(&bytes)).unwrap();
+            let a = drain_in_bursts(&mut plain, burst);
+            let b = drain_in_bursts(&mut dribbled, burst);
+            assert_eq!(a, b, "burst {burst}");
+            assert_eq!(a, trace.per_proc, "burst {burst}");
+            assert_eq!(plain.stats_so_far(), dribbled.stats_so_far());
+            assert_eq!(dribbled.stats_so_far(), trace.stats());
+        }
+        // Pull order with parking: the last processor first, one event at a
+        // time, with exhaustion probes in between.
+        let mut dribbled = ReplaySource::from_reader(Dribble(&bytes)).unwrap();
+        for p in (0..trace.topology.total_procs() as u16).rev().map(ProcId) {
+            let mut got = Vec::new();
+            while !dribbled.exhausted(p) {
+                got.push(dribbled.next_event(p).unwrap());
+            }
+            assert_eq!(got, trace.per_proc[p.index()], "stream of {p:?}");
+        }
+        assert_eq!(dribbled.buffered_events(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "replaying trace")]
+    fn file_cut_mid_record_panics() {
+        let mut bytes = header(2, 1);
+        bytes.extend_from_slice(&0u16.to_le_bytes());
+        bytes.push(0);
+        bytes.extend_from_slice(&[1, 2, 3, 4]); // half an address
+        let mut replay = ReplaySource::from_reader(&bytes[..]).unwrap();
+        replay.next_event(ProcId(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "replaying trace")]
+    fn file_cut_inside_a_record_head_panics() {
+        let trace = toy_trace();
+        let mut bytes = Vec::new();
+        record(&mut trace.source(), &mut bytes).unwrap();
+        bytes.pop(); // the last end marker loses its tag byte
+        let mut replay = ReplaySource::from_reader(&bytes[..]).unwrap();
+        for p in trace.topology.proc_ids() {
+            while replay.next_event(p).is_some() {}
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown event tag")]
+    fn unknown_tag_is_reported() {
+        let mut bytes = header(2, 1);
+        bytes.extend_from_slice(&1u16.to_le_bytes());
+        bytes.push(9);
+        bytes.extend_from_slice(&[0; 8]);
+        let mut replay = ReplaySource::from_reader(&bytes[..]).unwrap();
+        replay.exhausted(ProcId(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the topology")]
+    fn record_for_a_processor_outside_the_topology_is_rejected() {
+        let mut bytes = header(2, 1);
+        bytes.extend_from_slice(&2u16.to_le_bytes());
+        bytes.push(2);
+        bytes.extend_from_slice(&7u32.to_le_bytes());
+        let mut replay = ReplaySource::from_reader(&bytes[..]).unwrap();
+        replay.next_event(ProcId(0));
+    }
+
+    #[test]
+    fn clean_end_of_file_ends_every_stream() {
+        // Records without any end marker: end of file ends every stream.
+        let mut bytes = header(2, 2);
+        for p in [3u16, 0, 3] {
+            bytes.extend_from_slice(&p.to_le_bytes());
+            bytes.push(2);
+            bytes.extend_from_slice(&u32::from(p + 10).to_le_bytes());
+        }
+        let mut replay = ReplaySource::from_reader(&bytes[..]).unwrap();
+        assert_eq!(replay.next_event(ProcId(0)), Some(TraceEvent::Compute(10)));
+        assert!(replay.exhausted(ProcId(1)));
+        for p in 0..4u16 {
+            let expected = if p == 3 { 2 } else { 0 };
+            let mut n = 0;
+            while replay.next_event(ProcId(p)).is_some() {
+                n += 1;
+            }
+            assert_eq!(n, expected, "proc {p}");
+            assert!(replay.exhausted(ProcId(p)));
+        }
+        assert!(replay.take_error().is_none());
+        // A header with no records at all is an empty trace.
+        let bare = header(1, 1);
+        let mut empty = ReplaySource::from_reader(&bare[..]).unwrap();
+        assert!(empty.exhausted(ProcId(0)));
+        assert_eq!(empty.next_event(ProcId(0)), None);
     }
 
     #[test]

@@ -308,6 +308,13 @@ pub fn default_window_cap(topology: Topology) -> usize {
 /// [`FusedSource`], [`ThreadedSource`] and [`crate::replay::ReplaySource`]
 /// drive their `next_event`/`exhausted` loops off this one struct, so the
 /// demux semantics cannot drift between them.
+///
+/// A burst pull leaves a buffer as at most two slice copies.  Each pulled
+/// event still goes through the statistics one at a time; what keeps that
+/// cheap is the accumulator's per-processor page memo, which skips the page
+/// interner while a processor stays on one page.  A processor's buffer is
+/// freed once its stream has ended and drained, so a finished source holds
+/// no high-water storage.
 #[derive(Debug)]
 pub(crate) struct Demux {
     buffers: Vec<VecDeque<TraceEvent>>,
@@ -338,6 +345,7 @@ impl Demux {
     /// Park one demultiplexed event for `proc`.  On window overflow the
     /// demux poisons itself: the backlog is dropped, every stream reports
     /// ended, and the error waits in [`Demux::take_error`].
+    #[inline]
     pub(crate) fn push(&mut self, proc: ProcId, ev: TraceEvent) {
         if self.poisoned.is_some() {
             return;
@@ -348,7 +356,7 @@ impl Demux {
                 cap: self.window_cap,
             });
             for buf in &mut self.buffers {
-                buf.clear();
+                *buf = VecDeque::new();
             }
             self.buffered = 0;
             self.ended.fill(true);
@@ -361,40 +369,67 @@ impl Demux {
     /// Record that `proc`'s stream has no further events (an explicit
     /// end-of-stream marker, or overall end of the underlying stream).
     pub(crate) fn end(&mut self, proc: ProcId) {
-        self.ended[proc.index()] = true;
+        let p = proc.index();
+        self.ended[p] = true;
+        self.release_if_done(p);
     }
 
     /// Mark every processor ended (overall end of the underlying stream).
     pub(crate) fn end_all(&mut self) {
         self.ended.fill(true);
+        for p in 0..self.buffers.len() {
+            self.release_if_done(p);
+        }
+    }
+
+    /// Free processor `p`'s buffer storage once its stream has ended and
+    /// every parked event was pulled: nothing will ever be parked there
+    /// again.
+    #[inline]
+    fn release_if_done(&mut self, p: usize) {
+        if self.ended[p] && self.buffers[p].is_empty() {
+            self.buffers[p] = VecDeque::new();
+        }
     }
 
     pub(crate) fn pop(&mut self, proc: ProcId) -> Option<TraceEvent> {
-        let ev = self.buffers[proc.index()].pop_front()?;
+        let p = proc.index();
+        let ev = self.buffers[p].pop_front()?;
         self.buffered -= 1;
         self.stats.observe(proc, &ev);
+        self.release_if_done(p);
         Some(ev)
     }
 
-    /// Pop up to `max` already-parked events for `proc` into `out`.
-    /// Deliberately does *not* trigger any upstream pumping — burst pulls
-    /// take only what the serial pump sequence has already produced, so
-    /// window-cap behavior is position-identical under either pull API.
+    /// Pop up to `max` already-parked events for `proc` into `out`: the
+    /// buffer's (at most two) contiguous runs are copied as slices, then
+    /// each event is observed by the statistics.  Deliberately does *not*
+    /// trigger any upstream pumping — burst pulls take only what the serial
+    /// pump sequence has already produced, so window-cap behavior is
+    /// position-identical under either pull API.
     pub(crate) fn pop_burst(
         &mut self,
         proc: ProcId,
         out: &mut Vec<TraceEvent>,
         max: usize,
     ) -> usize {
-        let buf = &mut self.buffers[proc.index()];
+        let p = proc.index();
+        let buf = &mut self.buffers[p];
         let take = buf.len().min(max);
-        for _ in 0..take {
-            // dsm-lint: allow(panic-path, take is min of len and max so exactly take pops succeed; length-checked in the line above)
-            let ev = buf.pop_front().expect("length-checked pop");
-            self.stats.observe(proc, &ev);
-            out.push(ev);
+        if take == 0 {
+            return 0;
         }
+        let (front, back) = buf.as_slices();
+        let split = take.min(front.len());
+        for run in [&front[..split], &back[..take - split]] {
+            out.extend_from_slice(run);
+            for ev in run {
+                self.stats.observe(proc, ev);
+            }
+        }
+        buf.drain(..take);
         self.buffered -= take;
+        self.release_if_done(p);
         take
     }
 

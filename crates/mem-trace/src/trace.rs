@@ -1,8 +1,8 @@
 //! Whole-program traces and their validation.
 
 use crate::access::{AccessKind, TraceEvent};
-use crate::addr::{ProcId, Topology};
-use crate::intern::{PageInterner, Slab};
+use crate::addr::{NodeId, PageId, ProcId, Topology};
+use crate::intern::{PageIdx, PageInterner, Slab};
 use serde::{Deserialize, Serialize};
 
 /// Largest lock id a well-formed trace may use.  The simulator keys its
@@ -259,21 +259,45 @@ impl ProgramTrace {
 /// [`ProgramTrace::stats`] folds a materialized trace through this; the
 /// streaming sources in [`crate::source`] feed it as events flow past, so a
 /// fully drained stream reports exactly the statistics the batch path would.
+///
+/// Each processor remembers the page of its last access.  While it stays on
+/// that page, an access can add nothing to the page set or the node-sharing
+/// set (the page and this processor's node are already recorded), so the
+/// interner is skipped; only a first write to the page still has to reach
+/// its written flag.  The page counts are kept as running totals, which
+/// makes [`StatsAccumulator::snapshot`] O(1).
 #[derive(Debug, Clone)]
 pub struct StatsAccumulator {
     topology: Topology,
+    /// Running totals, including `written_pages` and `node_shared_pages`;
+    /// `footprint_pages` is the interner's population.
     stats: TraceStats,
     /// Interned touched pages: the interner's population *is* the footprint.
     pages: PageInterner,
-    /// Per interned page: bitmask of touching nodes plus a written flag.
+    /// Per interned page: first touching node, shared and written flags.
     /// Indexed by `PageIdx`; the accumulator sits on the streaming hot path,
     /// so this is a dense slab, not a map.
     page_meta: Slab<PageMeta>,
+    /// Per processor: the page of its last access.  Sized on the first
+    /// access, so building a source allocates nothing for it.
+    last_page: Vec<Option<LastPage>>,
 }
 
+/// What the accumulator knows about one page.
 #[derive(Debug, Clone, Copy, Default)]
 struct PageMeta {
-    nodes: u64,
+    /// The node that touched the page first; `None` until it is touched.
+    first_node: Option<NodeId>,
+    /// Some node other than `first_node` touched the page too.
+    shared: bool,
+    written: bool,
+}
+
+/// A processor's last page and whether that page was known written then.
+#[derive(Debug, Clone, Copy)]
+struct LastPage {
+    id: PageId,
+    idx: PageIdx,
     written: bool,
 }
 
@@ -285,6 +309,7 @@ impl StatsAccumulator {
             stats: TraceStats::default(),
             pages: PageInterner::new(),
             page_meta: Slab::new(),
+            last_page: Vec::new(),
         }
     }
 
@@ -293,21 +318,29 @@ impl StatsAccumulator {
     /// Events of one processor must be fed in stream order; interleaving
     /// across processors is irrelevant.  Barriers are counted on processor 0
     /// only (they appear once per processor in a valid trace).
+    #[inline]
     pub fn observe(&mut self, proc: ProcId, ev: &TraceEvent) {
         match ev {
             TraceEvent::Access(m) => {
                 self.stats.accesses += 1;
-                let idx = self.pages.intern(m.page()).index();
-                let meta = self.page_meta.entry(idx);
-                match m.kind {
-                    AccessKind::Read => self.stats.reads += 1,
-                    AccessKind::Write => {
-                        self.stats.writes += 1;
-                        meta.written = true;
+                let write = m.kind == AccessKind::Write;
+                if write {
+                    self.stats.writes += 1;
+                } else {
+                    self.stats.reads += 1;
+                }
+                let page = m.page();
+                if let Some(Some(last)) = self.last_page.get_mut(proc.index()) {
+                    if last.id == page {
+                        if write && !last.written {
+                            last.written = true;
+                            let idx = last.idx;
+                            self.mark_written(idx);
+                        }
+                        return;
                     }
                 }
-                let node = self.topology.node_of(proc);
-                meta.nodes |= 1u64 << node.index().min(63);
+                self.touch(proc, page, write);
             }
             TraceEvent::Compute(c) => self.stats.compute_cycles += u64::from(*c),
             TraceEvent::Barrier(_) if proc.index() == 0 => self.stats.barriers += 1,
@@ -315,17 +348,50 @@ impl StatsAccumulator {
         }
     }
 
+    /// An access to a page other than `proc`'s last one: intern it and
+    /// record the touching node.
+    fn touch(&mut self, proc: ProcId, page: PageId, write: bool) {
+        let idx = self.pages.intern(page);
+        let node = self.topology.node_of(proc);
+        let meta = self.page_meta.entry(idx.index());
+        match meta.first_node {
+            None => meta.first_node = Some(node),
+            Some(first) if first != node && !meta.shared => {
+                meta.shared = true;
+                self.stats.node_shared_pages += 1;
+            }
+            Some(_) => {}
+        }
+        let written = meta.written;
+        if write && !written {
+            self.mark_written(idx);
+        }
+        let p = proc.index();
+        if p >= self.last_page.len() {
+            self.last_page
+                .resize(self.topology.total_procs().max(p + 1), None);
+        }
+        self.last_page[p] = Some(LastPage {
+            id: page,
+            idx,
+            written: written || write,
+        });
+    }
+
+    fn mark_written(&mut self, idx: PageIdx) {
+        let meta = self.page_meta.entry(idx.index());
+        if !meta.written {
+            meta.written = true;
+            self.stats.written_pages += 1;
+        }
+    }
+
     /// The statistics over everything observed so far.
     pub fn snapshot(&self) -> TraceStats {
-        let mut stats = self.stats.clone();
-        stats.footprint_pages = self.pages.len() as u64;
-        stats.written_pages = self.page_meta.iter().filter(|m| m.written).count() as u64;
-        stats.node_shared_pages = self
-            .page_meta
-            .iter()
-            .filter(|m| m.nodes.count_ones() > 1)
-            .count() as u64;
-        stats
+        TraceStats {
+            footprint_pages: self.pages.len() as u64,
+            ..self.stats.clone()
+        }
     }
 }
 
@@ -476,6 +542,41 @@ mod tests {
             }
         }
         assert_eq!(acc.snapshot(), t.stats());
+    }
+
+    #[test]
+    fn node_sharing_is_exact_past_64_nodes() {
+        // Nodes 100 and 200 share page 0; nodes 3 and 4 share page 2.  A
+        // 64-bit node mask would fold 100 and 200 onto one bit.
+        let topo = Topology::new(256, 1);
+        let mut per_proc = vec![Vec::new(); 256];
+        for (p, page) in [(100, 0), (200, 0), (3, 2), (4, 2), (5, 7)] {
+            per_proc[p].push(TraceEvent::read(GlobalAddr(page * PAGE_SIZE)));
+        }
+        let s = ProgramTrace::new("wide", topo, per_proc).stats();
+        assert_eq!(s.footprint_pages, 3);
+        assert_eq!(s.node_shared_pages, 2);
+    }
+
+    #[test]
+    fn a_write_through_the_page_memo_counts_once() {
+        // Proc 0 stays on page 0 while proc 1 writes it: proc 0's own later
+        // write must not count a second time.  On page 1 the first write
+        // arrives through the memo and must not be lost.
+        let mut acc = StatsAccumulator::new(two_proc_topology());
+        acc.observe(ProcId(0), &TraceEvent::read(GlobalAddr(0)));
+        acc.observe(ProcId(1), &TraceEvent::write(GlobalAddr(8)));
+        acc.observe(ProcId(0), &TraceEvent::write(GlobalAddr(16)));
+        assert_eq!(acc.snapshot().written_pages, 1);
+        acc.observe(ProcId(0), &TraceEvent::read(GlobalAddr(PAGE_SIZE)));
+        assert_eq!(acc.snapshot().written_pages, 1);
+        acc.observe(ProcId(0), &TraceEvent::write(GlobalAddr(PAGE_SIZE + 8)));
+        acc.observe(ProcId(0), &TraceEvent::write(GlobalAddr(PAGE_SIZE + 16)));
+        let s = acc.snapshot();
+        assert_eq!((s.accesses, s.reads, s.writes), (6, 2, 4));
+        assert_eq!(s.footprint_pages, 2);
+        assert_eq!(s.written_pages, 2);
+        assert_eq!(s.node_shared_pages, 1);
     }
 
     #[test]

@@ -33,6 +33,6 @@ pub use cycles::Cycles;
 pub use event::EventQueue;
 pub use resource::{Resource, ResourceStats};
 pub use rng::{SplitMix64, Xoshiro256};
-pub use sched::ProcScheduler;
+pub use sched::{sched_key, ProcScheduler};
 pub use shard::{ClockWindow, Scheduler, ShardedScheduler};
 pub use stats::{Histogram, OnlineStats};

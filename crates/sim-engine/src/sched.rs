@@ -11,15 +11,35 @@
 //! of simultaneous processors is a pure function of the schedule contents —
 //! independent of the order events happened to be pushed — which makes the
 //! simulator's interleaving trivially reproducible from a state dump.
+//!
+//! A pair is stored and compared as one packed integer ([`sched_key`]):
+//! the clock in the high bits, the proc id in the low 16, so integer order
+//! *is* `(clock, proc id)` order and every heap comparison is one integer
+//! comparison instead of a tuple compare.
 
 use crate::cycles::Cycles;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+/// `(time, proc)` packed into one integer that orders exactly like the
+/// tuple: the clock above the low 16 bits, the proc id in them.  Every key
+/// is below `u128::MAX`, which callers may use as "no pending wakeup".
+#[inline]
+pub fn sched_key(time: Cycles, proc: u16) -> u128 {
+    (u128::from(time.raw()) << 16) | u128::from(proc)
+}
+
+/// The `(time, proc)` pair a [`sched_key`] packs.
+#[inline]
+fn unpack(key: u128) -> (Cycles, u16) {
+    // dsm-lint: allow(cast-truncation, exact: a key is `time << 16 | proc` with a u64 time and a u16 proc, so both narrowed parts fit)
+    (Cycles::new((key >> 16) as u64), key as u16)
+}
+
 /// A deterministic min-heap of `(wakeup time, proc id)` pairs.
 #[derive(Debug, Clone, Default)]
 pub struct ProcScheduler {
-    heap: BinaryHeap<Reverse<(Cycles, u16)>>,
+    heap: BinaryHeap<Reverse<u128>>,
 }
 
 impl ProcScheduler {
@@ -48,12 +68,12 @@ impl ProcScheduler {
     /// Schedule `proc` to run at `time`.  O(log P).
     #[inline]
     pub fn push(&mut self, time: Cycles, proc: u16) {
-        self.heap.push(Reverse((time, proc)));
+        self.heap.push(Reverse(sched_key(time, proc)));
     }
 
     /// The earliest pending wakeup time, if any.
     pub fn peek_time(&self) -> Option<Cycles> {
-        self.heap.peek().map(|Reverse((t, _))| *t)
+        self.peek().map(|(t, _)| t)
     }
 
     /// The earliest pending `(time, proc)` wakeup without removing it —
@@ -65,14 +85,27 @@ impl ProcScheduler {
     /// be skipped without perturbing the interleaving.
     #[inline]
     pub fn peek(&self) -> Option<(Cycles, u16)> {
-        self.heap.peek().map(|Reverse((t, p))| (*t, *p))
+        self.heap.peek().map(|Reverse(key)| unpack(*key))
     }
 
     /// Remove and return the earliest `(time, proc)` wakeup; ties pop the
     /// smallest proc id first.  O(log P).
     #[inline]
     pub fn pop(&mut self) -> Option<(Cycles, u16)> {
-        self.heap.pop().map(|Reverse((t, p))| (t, p))
+        self.heap.pop().map(|Reverse(key)| unpack(key))
+    }
+
+    /// Schedule `proc` at `time` and pop the earliest wakeup, in one step:
+    /// exactly `push` followed by `pop`, with one sift.  When the new pair
+    /// orders first it comes straight back and the heap is untouched;
+    /// otherwise it replaces the head, which sinks to its place.
+    #[inline]
+    pub fn push_pop(&mut self, time: Cycles, proc: u16) -> (Cycles, u16) {
+        let key = sched_key(time, proc);
+        match self.heap.peek_mut() {
+            Some(mut head) if head.0 < key => unpack(std::mem::replace(&mut head.0, key)),
+            _ => (time, proc),
+        }
     }
 }
 
@@ -114,6 +147,21 @@ mod tests {
         s.push(Cycles::new(5), 9);
         assert_eq!(s.pop(), Some((Cycles::new(5), 9)));
         assert_eq!(s.pop(), Some((Cycles::new(7), 0)));
+    }
+
+    #[test]
+    fn packed_keys_order_like_tuples() {
+        let pairs = [(0u64, 0u16), (0, 1), (1, 0), (1, u16::MAX), (u64::MAX, 0)];
+        for a in pairs {
+            for b in pairs {
+                let (ka, kb) = (
+                    sched_key(Cycles::new(a.0), a.1),
+                    sched_key(Cycles::new(b.0), b.1),
+                );
+                assert_eq!(ka.cmp(&kb), a.cmp(&b), "{a:?} vs {b:?}");
+                assert!(ka < u128::MAX);
+            }
+        }
     }
 
     #[test]

@@ -58,6 +58,14 @@ pub trait Scheduler {
     /// simulator loop depends on this to compare each event's advanced
     /// clock against the horizon without a per-event peek.
     fn peek(&mut self) -> Option<(Cycles, u16)>;
+    /// [`Scheduler::push`] then [`Scheduler::pop`]: re-queue a processor
+    /// that lost the schedule and take the winner.  Implementations may do
+    /// it in one step.
+    fn push_pop(&mut self, time: Cycles, proc: u16) -> (Cycles, u16) {
+        self.push(time, proc);
+        // The push made the schedule non-empty, so `pop` always answers.
+        self.pop().unwrap_or((time, proc))
+    }
     /// Number of pending wakeups.
     fn len(&self) -> usize;
     /// `true` if no wakeups are pending.
@@ -78,6 +86,10 @@ impl Scheduler for ProcScheduler {
     #[inline]
     fn peek(&mut self) -> Option<(Cycles, u16)> {
         ProcScheduler::peek(self)
+    }
+    #[inline]
+    fn push_pop(&mut self, time: Cycles, proc: u16) -> (Cycles, u16) {
+        ProcScheduler::push_pop(self, time, proc)
     }
     #[inline]
     fn len(&self) -> usize {

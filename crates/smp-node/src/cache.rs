@@ -14,7 +14,7 @@
 //! resident-block enumerations hand their dense index straight to the
 //! classifier and directory without a lookup.
 
-use mem_trace::{AccessKind, BlockRef};
+use mem_trace::{AccessKind, BlockRef, DirectMap};
 
 /// MOESI coherence states of a cache line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -101,6 +101,7 @@ pub enum CacheOutcome {
 #[derive(Debug, Clone)]
 pub struct DataCache {
     config: CacheConfig,
+    map: DirectMap,
     tags: Vec<Option<BlockRef>>,
     states: Vec<LineState>,
     /// Monotonic counters for reporting.
@@ -127,6 +128,7 @@ impl DataCache {
         assert!(lines > 0, "cache must have at least one line");
         DataCache {
             config,
+            map: DirectMap::new(lines),
             tags: vec![None; lines],
             states: vec![LineState::Invalid; lines],
             hits: 0,
@@ -144,7 +146,7 @@ impl DataCache {
 
     #[inline]
     fn index_of(&self, block: BlockRef) -> usize {
-        (block.id.0 % self.tags.len() as u64) as usize
+        self.map.line_of(block.id)
     }
 
     /// Current state of `block` (Invalid if not resident).

@@ -448,3 +448,72 @@ fn scheduler_pops_sorted_by_clock_then_proc_id() {
         assert_eq!(popped, expected, "case {case}");
     }
 }
+
+/// Drive `sched` with a random interleaving of `push`, `pop` and
+/// `push_pop` against a `BTreeSet` model: every pair it hands back must be
+/// the model's minimum.  Each processor is pending at most once, as in the
+/// simulator.
+fn scheduler_agrees_with_model<S: dsm_repro::sim::Scheduler>(
+    sched: &mut S,
+    procs: u16,
+    rng: &mut SplitMix64,
+    label: &str,
+) {
+    use dsm_repro::sim::Cycles;
+    use std::collections::BTreeSet;
+    let mut model: BTreeSet<(Cycles, u16)> = BTreeSet::new();
+    let idle = |model: &BTreeSet<(Cycles, u16)>| -> Vec<u16> {
+        (0..procs)
+            .filter(|&p| !model.iter().any(|&(_, q)| q == p))
+            .collect()
+    };
+    for step in 0..400 {
+        let free = idle(&model);
+        // Few distinct clocks, so ties on the clock are common.
+        let time = Cycles::new(rng.next_below(12));
+        match rng.next_below(3) {
+            0 if !free.is_empty() => {
+                let p = free[rng.next_below(free.len() as u64) as usize];
+                sched.push(time, p);
+                model.insert((time, p));
+            }
+            1 if !free.is_empty() => {
+                let p = free[rng.next_below(free.len() as u64) as usize];
+                model.insert((time, p));
+                let expected = model.pop_first();
+                assert_eq!(
+                    Some(sched.push_pop(time, p)),
+                    expected,
+                    "{label} step {step}"
+                );
+            }
+            _ => {
+                assert_eq!(sched.pop(), model.pop_first(), "{label} step {step}");
+            }
+        }
+        assert_eq!(sched.len(), model.len(), "{label} step {step}");
+        assert_eq!(sched.peek(), model.first().copied(), "{label} step {step}");
+    }
+    while let Some(head) = model.pop_first() {
+        assert_eq!(sched.pop(), Some(head), "{label} drain");
+    }
+    assert!(sched.is_empty(), "{label}");
+}
+
+/// Both schedulers, through the `Scheduler` trait, under random
+/// `push`/`pop`/`push_pop` interleavings: the one-sift `push_pop` of the
+/// heap and the default `push` + `pop` of the sharded scheduler must both
+/// hand back the model's minimum every time.
+#[test]
+fn schedulers_match_an_ordered_set_model() {
+    use dsm_repro::sim::{ProcScheduler, ShardedScheduler};
+    let procs = 24u16;
+    for case in 0..CASES {
+        let mut rng = rng_for("scheduler-model", case);
+        scheduler_agrees_with_model(&mut ProcScheduler::new(), procs, &mut rng, "heap");
+        let shards = 1 + rng.next_below(4) as u16;
+        let table: Vec<u16> = (0..procs).map(|p| p % shards).collect();
+        let mut sharded = ShardedScheduler::new(table, shards);
+        scheduler_agrees_with_model(&mut sharded, procs, &mut rng, "sharded");
+    }
+}
