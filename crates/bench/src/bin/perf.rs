@@ -3,7 +3,7 @@
 //! (`BENCH_*.json`).
 //!
 //! ```text
-//! perf [--paper|--reduced] [--workloads a,b,c] [--repeats N] [--workers N]
+//! perf [--paper|--reduced] [--workloads a,b,c] [--repeats N]
 //!      [--out FILE] [--baseline FILE] [--tolerance PCT]
 //! ```
 //!
@@ -11,11 +11,11 @@
 //! job, printed to stdout.  With `--baseline FILE` the run additionally
 //! compares its events/sec against the committed baseline JSON and exits
 //! with status 1 if any job regressed more than `--tolerance` percent
-//! (default 30) — the check behind the CI perf-smoke job.
+//! (default 30), or if no measured job appears in the baseline — the check
+//! behind the CI perf-smoke job.
 
 use std::path::PathBuf;
 
-use dsm_bench::cli::parse_workers;
 use dsm_bench::perf;
 use dsm_bench::presets::ExperimentScale;
 use dsm_core::MachineConfig;
@@ -30,12 +30,9 @@ options:
                        workloads
   --repeats N          wall-clock repetitions per job; the best is reported
                        (default 3)
-  --workers N|auto     shard each simulation across N worker threads
-                       (`auto` = available cores, default 1 = serial);
-                       simulation results are bit-identical either way
   --out FILE           write the JSON report to FILE as well as stdout
   --baseline FILE      compare events/sec against a committed baseline JSON
-                       and fail on regression
+                       and fail on regression (or if no job matched)
   --tolerance PCT      allowed regression vs the baseline in percent
                        (default 30)
   -h, --help           print this help and exit";
@@ -53,7 +50,6 @@ fn main() {
         .map(str::to_string)
         .collect();
     let mut repeats: u32 = 3;
-    let mut workers: usize = 1;
     let mut out: Option<PathBuf> = None;
     let mut baseline: Option<PathBuf> = None;
     let mut tolerance_pct: f64 = 30.0;
@@ -86,10 +82,6 @@ fn main() {
                     .filter(|n| *n > 0)
                     .unwrap_or_else(|| fail("bad value for `--repeats`"));
             }
-            "--workers" => {
-                workers = parse_workers(&value("--workers"))
-                    .unwrap_or_else(|_| fail("bad value for `--workers`"));
-            }
             "--out" => out = Some(PathBuf::from(value("--out"))),
             "--baseline" => baseline = Some(PathBuf::from(value("--baseline"))),
             "--tolerance" => {
@@ -109,14 +101,7 @@ fn main() {
 
     let systems = perf::default_systems(scale);
     let names: Vec<&str> = workloads.iter().map(String::as_str).collect();
-    let report = perf::measure_workers(
-        MachineConfig::PAPER,
-        &systems,
-        &names,
-        scale,
-        repeats,
-        workers,
-    );
+    let report = perf::measure(MachineConfig::PAPER, &systems, &names, scale, repeats);
 
     for job in &report.jobs {
         eprintln!(
@@ -139,13 +124,13 @@ fn main() {
         let failures = perf::regression_failures(&report, &baseline_json, tolerance_pct / 100.0);
         if !failures.is_empty() {
             for f in &failures {
-                eprintln!("perf regression: {f}");
+                eprintln!("perf baseline check failed: {f}");
             }
             std::process::exit(1);
         }
         eprintln!(
             "perf baseline check passed ({} jobs within {tolerance_pct}% of {})",
-            report.jobs.len(),
+            perf::compared_jobs(&report, &baseline_json).len(),
             path.display()
         );
     }

@@ -34,10 +34,6 @@ options:
                        workloads (barnes, cholesky, fmm, lu, ocean, radix,
                        raytrace)
   --threads N          number of simulation worker threads
-  --workers N|auto     shard each simulation across N worker threads
-                       (auto = available cores; the default 1 is the
-                       exact serial path — results are bit-identical
-                       either way)
   --csv                also print results as CSV for plotting
   --out FILE           also write results as JSON to FILE
   --record FILE        stream the selected workload's trace to FILE and
@@ -86,8 +82,6 @@ pub struct Options {
     pub workloads: Vec<String>,
     /// Worker threads (jobs run concurrently).
     pub threads: usize,
-    /// Workers sharding each simulation (`0` = auto, `1` = serial).
-    pub workers: usize,
     /// Emit CSV in addition to the formatted table.
     pub csv: bool,
     /// Also write results as JSON to this file.
@@ -111,20 +105,6 @@ fn parse_custom_scale(v: &str) -> Result<splash_workloads::CustomScale, CliError
     }
 }
 
-/// Parse a `--workers` value: a positive count or `auto` (encoded as `0`,
-/// resolved to the available cores where the simulation is built).
-pub fn parse_workers(v: &str) -> Result<usize, CliError> {
-    if v.eq_ignore_ascii_case("auto") {
-        return Ok(0);
-    }
-    match v.parse::<usize>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(CliError::BadValue(format!(
-            "bad value `{v}` for `--workers` (want a positive count or `auto`)"
-        ))),
-    }
-}
-
 impl Options {
     /// Parse from an iterator of arguments (excluding the program name).
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Options, CliError> {
@@ -135,7 +115,6 @@ impl Options {
                 .map(str::to_string)
                 .collect(),
             threads: default_threads(),
-            workers: 1,
             csv: false,
             out: None,
             record: None,
@@ -164,10 +143,6 @@ impl Options {
                     opts.threads = v.parse().map_err(|_| {
                         CliError::BadValue(format!("bad value `{v}` for `--threads`"))
                     })?;
-                }
-                "--workers" => {
-                    let v = value_of(&mut iter, "--workers")?;
-                    opts.workers = parse_workers(&v)?;
                 }
                 "--workloads" => {
                     workloads_selected = true;
@@ -385,31 +360,19 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_named() {
-        match parse(&["--bogus"]) {
-            Err(CliError::UnknownFlag(flag)) => {
-                assert_eq!(flag, "--bogus");
-                let msg = CliError::UnknownFlag(flag).to_string();
-                assert!(msg.contains("--bogus"), "{msg}");
-                assert!(msg.contains("--help"), "{msg}");
+        // `workers` names a removed flag: it is rejected like any unknown one.
+        for name in ["bogus", "workers"] {
+            let bogus = format!("--{name}");
+            match parse(&[bogus.as_str()]) {
+                Err(CliError::UnknownFlag(flag)) => {
+                    assert_eq!(flag, bogus);
+                    let msg = CliError::UnknownFlag(flag).to_string();
+                    assert!(msg.contains(&bogus), "{msg}");
+                    assert!(msg.contains("--help"), "{msg}");
+                }
+                other => panic!("expected UnknownFlag for {bogus}, got {other:?}"),
             }
-            other => panic!("expected UnknownFlag, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn workers_flag_parses_counts_and_auto() {
-        assert_eq!(parse(&[]).unwrap().workers, 1, "default is exact serial");
-        assert_eq!(parse(&["--workers", "4"]).unwrap().workers, 4);
-        assert_eq!(parse(&["--workers", "auto"]).unwrap().workers, 0);
-        assert_eq!(parse(&["--workers", "AUTO"]).unwrap().workers, 0);
-        for bad in ["0", "-2", "x", ""] {
-            assert!(
-                parse(&["--workers", bad]).is_err(),
-                "`--workers {bad}` should be rejected"
-            );
-        }
-        assert!(parse(&["--workers"]).is_err());
-        assert!(parse(&["--workers", "--csv"]).is_err());
     }
 
     #[test]

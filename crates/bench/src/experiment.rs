@@ -62,7 +62,6 @@ pub struct Experiment {
     source: WorkloadSource,
     scale: ExperimentScale,
     threads: usize,
-    workers: usize,
 }
 
 impl Experiment {
@@ -80,7 +79,6 @@ impl Experiment {
             ),
             scale: ExperimentScale::Reduced,
             threads: default_threads(),
-            workers: 1,
         }
     }
 
@@ -139,24 +137,14 @@ impl Experiment {
         self
     }
 
-    /// Shard each simulation across `workers` worker threads (`0` = auto,
-    /// one per available core; the default `1` is the exact serial path).
-    /// Results are bit-identical at any worker count.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
     /// Apply parsed command-line options: workloads (or a replay file),
-    /// scale, threads and per-simulation workers.
+    /// scale and threads.
     pub fn options(self, opts: &Options) -> Self {
         let exp = match &opts.replay {
             Some(path) => self.replay(path.clone()),
             None => self.workloads(opts.workload_names()),
         };
-        exp.scale(opts.scale)
-            .threads(opts.threads)
-            .workers(opts.workers)
+        exp.scale(opts.scale).threads(opts.threads)
     }
 
     /// Run every (workload, system) pair and collect the results.
@@ -184,8 +172,7 @@ impl Experiment {
             .machine(self.machine)
             .system_set(set)
             .scale(self.scale)
-            .threads(self.threads)
-            .workers(self.workers);
+            .threads(self.threads);
         sweep = match self.source {
             WorkloadSource::Named(names) => sweep.workloads(names),
             WorkloadSource::Traces(traces) => sweep.traces(traces),
@@ -218,7 +205,6 @@ impl Experiment {
         ExperimentResult {
             experiment,
             system_names,
-            workers: self.workers,
             per_workload,
         }
     }

@@ -15,14 +15,15 @@
 //!   `BENCH_*.json` format the perf trajectory is tracked in;
 //! * [`regression_failures`] compares a fresh report against a committed
 //!   baseline JSON and flags every job whose throughput regressed beyond a
-//!   tolerance — the check behind the CI perf-smoke job.
+//!   tolerance, and a run that matched no baseline job at all — the check
+//!   behind the CI perf-smoke job.
 
 use std::io;
 use std::path::Path;
 use std::time::Instant;
 
 use crate::presets::ExperimentScale;
-use dsm_core::{ClusterSimulator, MachineConfig, ShardedSimulator, SystemConfig};
+use dsm_core::{ClusterSimulator, MachineConfig, SystemConfig};
 use splash_workloads::{by_name, WorkloadConfig};
 
 /// Throughput measurement of one (workload, system) job.
@@ -49,9 +50,6 @@ pub struct PerfReport {
     pub scale: String,
     /// Wall-clock repetitions per job (best is reported).
     pub repeats: u32,
-    /// Per-simulation worker count the jobs ran with (`0` = auto, `1` =
-    /// serial).  Throughput depends on it; simulation results do not.
-    pub workers: usize,
     /// One entry per (workload, system) pair, workloads outermost.
     pub jobs: Vec<PerfJob>,
 }
@@ -95,30 +93,8 @@ pub fn measure(
     scale: ExperimentScale,
     repeats: u32,
 ) -> PerfReport {
-    measure_workers(machine, systems, workloads, scale, repeats, 1)
-}
-
-/// [`measure`] with each simulation sharded across `workers` worker
-/// threads (`0` = auto, `1` = the serial fused pipeline).  Simulation
-/// results — and therefore `accesses` — are bit-identical at any worker
-/// count; only the wall clock moves, which is exactly what a serial-vs-
-/// sharded perf comparison wants to isolate.
-///
-/// # Panics
-/// Panics on an unknown workload name or a zero `repeats`.
-pub fn measure_workers(
-    machine: MachineConfig,
-    systems: &[SystemConfig],
-    workloads: &[&str],
-    scale: ExperimentScale,
-    repeats: u32,
-    workers: usize,
-) -> PerfReport {
     assert!(repeats > 0, "perf measurement needs at least one repeat");
     let cfg = WorkloadConfig::at_scale(scale.workload_scale());
-    let sharded = (workers != 1)
-        .then(|| dsm_core::resolve_workers(workers, &machine))
-        .filter(|&w| w > 1);
     let mut jobs = Vec::with_capacity(workloads.len() * systems.len());
     for workload in workloads {
         let wl = by_name(workload).unwrap_or_else(|| panic!("unknown workload {workload}"));
@@ -126,24 +102,11 @@ pub fn measure_workers(
             let mut best = f64::INFINITY;
             let mut accesses = 0;
             for _ in 0..repeats {
-                let result = match sharded {
-                    Some(w) => {
-                        let sim = ShardedSimulator::new(machine, system.clone(), w);
-                        let mut source = splash_workloads::sharded(wl.as_ref(), &cfg, w);
-                        let start = Instant::now();
-                        let result = sim.run_source(&mut source);
-                        best = best.min(start.elapsed().as_secs_f64());
-                        result
-                    }
-                    None => {
-                        let sim = ClusterSimulator::new(machine, system.clone());
-                        let mut source = splash_workloads::fused(wl.as_ref(), &cfg);
-                        let start = Instant::now();
-                        let result = sim.run_source(&mut source);
-                        best = best.min(start.elapsed().as_secs_f64());
-                        result
-                    }
-                };
+                let sim = ClusterSimulator::new(machine, system.clone());
+                let mut source = splash_workloads::fused(wl.as_ref(), &cfg);
+                let start = Instant::now();
+                let result = sim.run_source(&mut source);
+                best = best.min(start.elapsed().as_secs_f64());
                 accesses = result.accesses;
             }
             jobs.push(PerfJob {
@@ -162,7 +125,6 @@ pub fn measure_workers(
     PerfReport {
         scale: scale.label(),
         repeats,
-        workers,
         jobs,
     }
 }
@@ -188,11 +150,10 @@ pub fn to_json(report: &PerfReport) -> String {
     format!(
         concat!(
             "{{\"bench\":\"perf\",\"scale\":\"{}\",\"repeats\":{},",
-            "\"workers\":{},\"mean_events_per_sec\":{:.1},\"jobs\":[{}]}}"
+            "\"mean_events_per_sec\":{:.1},\"jobs\":[{}]}}"
         ),
         report.scale,
         report.repeats,
-        report.workers,
         report.mean_events_per_sec(),
         jobs
     )
@@ -240,34 +201,50 @@ pub fn parse_jobs(json: &str) -> Vec<(String, String, f64)> {
     out
 }
 
+/// The baseline jobs `current` also measured, each paired with its
+/// baseline events/sec: the jobs a [`regression_failures`] check compares.
+pub fn compared_jobs<'a>(current: &'a PerfReport, baseline_json: &str) -> Vec<(&'a PerfJob, f64)> {
+    parse_jobs(baseline_json)
+        .into_iter()
+        .filter_map(|(workload, system, base_eps)| {
+            current.job(&workload, &system).map(|job| (job, base_eps))
+        })
+        .collect()
+}
+
 /// Compare a fresh report against a committed baseline JSON: every baseline
 /// job also present in `current` must reach at least `(1 - tolerance)` of
 /// its baseline events/sec.  Returns one message per regressed job (empty =
 /// pass).  Baseline jobs the current report did not run are skipped, so a
-/// CI smoke run may cover a subset of the committed matrix.
+/// CI smoke run may cover a subset of the committed matrix — but a run that
+/// matches *no* baseline job compared nothing and fails.
 pub fn regression_failures(
     current: &PerfReport,
     baseline_json: &str,
     tolerance: f64,
 ) -> Vec<String> {
-    let mut failures = Vec::new();
-    for (workload, system, base_eps) in parse_jobs(baseline_json) {
-        let Some(job) = current.job(&workload, &system) else {
-            continue;
-        };
-        let floor = base_eps * (1.0 - tolerance);
-        if job.events_per_sec < floor {
-            failures.push(format!(
-                "{workload}/{system}: {:.0} events/sec is below {:.0} \
-                 ({:.0}% of the {:.0} baseline)",
+    let compared = compared_jobs(current, baseline_json);
+    if compared.is_empty() {
+        return vec![format!(
+            "no baseline job matched any of the {} measured (workload, system) jobs",
+            current.jobs.len()
+        )];
+    }
+    compared
+        .into_iter()
+        .filter(|(job, base_eps)| job.events_per_sec < base_eps * (1.0 - tolerance))
+        .map(|(job, base_eps)| {
+            format!(
+                "{}/{}: {:.0} events/sec is below {:.0} ({:.0}% of the {:.0} baseline)",
+                job.workload,
+                job.system,
                 job.events_per_sec,
-                floor,
+                base_eps * (1.0 - tolerance),
                 (1.0 - tolerance) * 100.0,
                 base_eps,
-            ));
-        }
-    }
-    failures
+            )
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -397,7 +374,6 @@ mod tests {
         PerfReport {
             scale: "reduced".to_string(),
             repeats: 2,
-            workers: 1,
             jobs: vec![
                 PerfJob {
                     workload: "radix".into(),
@@ -453,6 +429,29 @@ mod tests {
         let mut current = toy_report();
         current.jobs.remove(1);
         assert!(regression_failures(&current, &baseline, 0.3).is_empty());
+    }
+
+    #[test]
+    fn a_baseline_with_no_matching_job_fails() {
+        // A run over jobs the baseline never recorded compares nothing:
+        // that must fail rather than pass vacuously.
+        let mut current = toy_report();
+        for job in &mut current.jobs {
+            job.workload = "ocean".into();
+        }
+        let baseline = to_json(&toy_report());
+        assert!(compared_jobs(&current, &baseline).is_empty());
+        let failures = regression_failures(&current, &baseline, 0.3);
+        assert_eq!(failures.len(), 1);
+        assert!(
+            failures[0].contains("no baseline job matched"),
+            "{}",
+            failures[0]
+        );
+        // An empty baseline is disjoint from every run.
+        let empty = r#"{"bench":"perf","jobs":[]}"#;
+        assert_eq!(regression_failures(&toy_report(), empty, 0.3).len(), 1);
+        assert_eq!(compared_jobs(&toy_report(), &baseline).len(), 2);
     }
 
     #[test]
@@ -575,7 +574,6 @@ mod tests {
         let empty = PerfReport {
             scale: "reduced".into(),
             repeats: 1,
-            workers: 1,
             jobs: vec![],
         };
         assert_eq!(empty.mean_events_per_sec(), 0.0);

@@ -290,12 +290,11 @@ pub fn to_json(result: &ExperimentResult) -> String {
         .join(",");
     format!(
         concat!(
-            "{{\"experiment\":\"{}\",\"systems\":[{}],\"workers\":{},",
+            "{{\"experiment\":\"{}\",\"systems\":[{}],",
             "\"mean_normalized_time\":[{}],\"workloads\":[{}]}}"
         ),
         json_escape(&result.experiment),
         systems,
-        result.workers,
         means,
         workloads
     )
@@ -557,12 +556,11 @@ pub fn sweep_to_json(result: &SweepResult) -> String {
         .join(",");
     format!(
         concat!(
-            "{{\"sweep\":\"{}\",\"baseline_system\":\"{}\",\"workers\":{},",
+            "{{\"sweep\":\"{}\",\"baseline_system\":\"{}\",",
             "\"points\":[{}],\"baselines\":[{}]}}"
         ),
         json_escape(&result.name),
         json_escape(&result.baseline_system),
-        result.workers,
         points,
         baselines
     )

@@ -38,10 +38,6 @@ pub struct ExperimentResult {
     pub experiment: String,
     /// System names, in column order.
     pub system_names: Vec<String>,
-    /// Requested per-simulation worker count (`0` = auto, `1` = serial) —
-    /// recorded so emitted reports say what produced them.  Simulation
-    /// results are bit-identical at any worker count.
-    pub workers: usize,
     /// One entry per workload, in the order requested.
     pub per_workload: Vec<WorkloadResult>,
 }
@@ -118,7 +114,6 @@ mod tests {
         let empty = ExperimentResult {
             experiment: "empty".to_string(),
             system_names: vec!["CC-NUMA".to_string()],
-            workers: 1,
             per_workload: vec![],
         };
         assert_eq!(empty.mean_normalized(0), 0.0);

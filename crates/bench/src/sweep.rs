@@ -53,10 +53,7 @@ use std::sync::{Mutex, PoisonError};
 use crate::cache_key::{point_key, CacheKey};
 use crate::presets::{ExperimentScale, SystemSet};
 use crate::runner::default_threads;
-use dsm_core::{
-    ClusterSimulator, CostModel, MachineConfig, ShardedSimulator, SimResult, SystemConfig,
-    Thresholds,
-};
+use dsm_core::{ClusterSimulator, CostModel, MachineConfig, SimResult, SystemConfig, Thresholds};
 use dsm_protocol::MsgKind;
 use mem_trace::{Geometry, ProgramTrace, ReplaySource, Topology, TraceSource};
 use sim_engine::Cycles;
@@ -288,7 +285,6 @@ pub struct Sweep {
     scales: Vec<ExperimentScale>,
     source_mode: SourceMode,
     threads: usize,
-    workers: usize,
 }
 
 impl Sweep {
@@ -315,7 +311,6 @@ impl Sweep {
             scales: vec![ExperimentScale::Reduced],
             source_mode: SourceMode::Auto,
             threads: default_threads(),
-            workers: 1,
         }
     }
 
@@ -457,15 +452,6 @@ impl Sweep {
     /// Number of simulation worker threads (at least 1).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Shard each simulation across `workers` worker threads (`0` = auto,
-    /// one per available core; the default `1` is the exact serial path).
-    /// Results are bit-identical at any worker count — sharding changes
-    /// wall-clock, never the answer — so cached results remain valid.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
         self
     }
 
@@ -653,12 +639,7 @@ impl Sweep {
                     };
                 }
             }
-            // `workers != 1` shards the simulation (scheduler + supply);
-            // the result is bit-identical to the serial path, so the two
-            // branches share cache entries and golden fingerprints.
-            let sharded = (self.workers != 1)
-                .then(|| dsm_core::resolve_workers(self.workers, &point.machine))
-                .filter(|&w| w > 1);
+            let sim = ClusterSimulator::new(point.machine, point.system.clone());
             let result = match &workloads[point.workload_index] {
                 WorkloadSpec::Named(name) => {
                     let workload =
@@ -666,35 +647,18 @@ impl Sweep {
                         by_name(name).unwrap_or_else(|| panic!("unknown workload {name}"));
                     let cfg = WorkloadConfig::at_scale(point.scale.workload_scale())
                         .with_topology(point.machine.topology);
-                    if let Some(w) = sharded {
-                        let sim = ShardedSimulator::new(point.machine, point.system.clone(), w);
-                        let mut source = splash_workloads::sharded(workload.as_ref(), &cfg, w);
-                        sim.run_source(&mut source)
-                    } else if fused {
-                        let sim = ClusterSimulator::new(point.machine, point.system.clone());
-                        let mut source = splash_workloads::fused(workload.as_ref(), &cfg);
-                        sim.run_source(&mut source)
+                    if fused {
+                        sim.run_source(&mut splash_workloads::fused(workload.as_ref(), &cfg))
                     } else {
-                        let sim = ClusterSimulator::new(point.machine, point.system.clone());
-                        let mut source = splash_workloads::stream_threaded(workload, cfg);
-                        sim.run_source(&mut source)
+                        sim.run_source(&mut splash_workloads::stream_threaded(workload, cfg))
                     }
                 }
-                WorkloadSpec::Trace(trace) => match sharded {
-                    Some(w) => ShardedSimulator::new(point.machine, point.system.clone(), w)
-                        .run_source(&mut trace.source()),
-                    None => ClusterSimulator::new(point.machine, point.system.clone()).run(trace),
-                },
+                WorkloadSpec::Trace(trace) => sim.run(trace),
                 WorkloadSpec::Replay(path) => {
                     let mut replay = ReplaySource::open(path)
                         // dsm-lint: allow(panic-path, service requests cannot name Replay specs — build_sweep only accepts catalog workloads; replay paths are CLI operator input where fail-fast is wanted)
                         .unwrap_or_else(|e| panic!("cannot open replay file {path:?}: {e}"));
-                    match sharded {
-                        Some(w) => ShardedSimulator::new(point.machine, point.system.clone(), w)
-                            .run_source(&mut replay),
-                        None => ClusterSimulator::new(point.machine, point.system.clone())
-                            .run_source(&mut replay),
-                    }
+                    sim.run_source(&mut replay)
                 }
             };
             Outcome {
@@ -816,7 +780,6 @@ impl Sweep {
         SweepResult {
             name: self.name,
             baseline_system: self.baseline.name,
-            workers: self.workers,
             baselines,
             points,
         }
@@ -1012,9 +975,6 @@ pub struct SweepResult {
     pub name: String,
     /// Display name of the normalization baseline system.
     pub baseline_system: String,
-    /// Requested per-simulation worker count (`0` = auto, `1` = serial) —
-    /// recorded so emitted reports say what produced them.
-    pub workers: usize,
     /// Baseline jobs, one per (machine point x cost x workload).
     pub baselines: Vec<BaselinePoint>,
     /// Every compared point, in [`ParamSpace`] enumeration order.

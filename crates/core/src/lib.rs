@@ -61,7 +61,6 @@ pub mod policy;
 #[cfg(feature = "profile-counters")]
 pub mod profile;
 pub mod rnuma;
-pub mod sharded;
 pub mod simulator;
 pub mod stats;
 
@@ -72,6 +71,5 @@ pub use migrep::MigRepEngine;
 pub use placement::PagePlacement;
 pub use policy::{PageOp, PolicyFactory, PolicyStats, RelocationPolicy};
 pub use rnuma::RNumaEngine;
-pub use sharded::{resolve_workers, ShardedSimulator};
 pub use simulator::ClusterSimulator;
 pub use stats::{NodeStats, SimResult};

@@ -27,7 +27,7 @@ use mem_trace::{
     AccessKind, BlockRef, Geometry, GlobalAddr, MemRef, NodeId, PageInterner, PageRef, ProcId,
     ProgramTrace, Slab, TraceError, TraceEvent, TraceSource, MAX_LOCK_ID,
 };
-use sim_engine::{sched_key, Cycles, ProcScheduler, Scheduler};
+use sim_engine::{sched_key, Cycles, ProcScheduler};
 use smp_node::cache::{CacheOutcome, LineState, Victim};
 use smp_node::classify::MissClass;
 use smp_node::page_table::{PageMapping, PageMode, PageProtection};
@@ -181,11 +181,11 @@ impl EventFeed {
 /// The schedule's head as a [`sched_key`], or `u128::MAX` (above every
 /// key) when nothing is pending.
 #[inline]
-fn horizon_key<Q: Scheduler>(queue: &mut Q) -> u128 {
+fn horizon_key(queue: &ProcScheduler) -> u128 {
     queue.peek().map_or(u128::MAX, |(t, q)| sched_key(t, q))
 }
 
-pub(crate) struct RunState<'a> {
+struct RunState<'a> {
     machine: &'a MachineConfig,
     system: &'a SystemConfig,
     /// The machine's address-space geometry: every page/block decomposition
@@ -225,7 +225,7 @@ pub(crate) struct RunState<'a> {
 }
 
 impl<'a> RunState<'a> {
-    pub(crate) fn new(machine: &'a MachineConfig, system: &'a SystemConfig) -> Self {
+    fn new(machine: &'a MachineConfig, system: &'a SystemConfig) -> Self {
         let total_procs = machine.topology.total_procs();
         let geometry = machine.geometry;
         // A hard assert, not debug-only: MachineConfig's fields are public,
@@ -291,16 +291,12 @@ impl<'a> RunState<'a> {
         self.system.costs.remote_miss
     }
 
-    /// Drive `source` to completion through `queue`.  Generic over the
-    /// [`Scheduler`] so the same loop runs serial (one [`ProcScheduler`])
-    /// and sharded (a `ShardedScheduler` routing cross-shard wakeups
-    /// through pair queues) — the interleaving, and therefore the result,
-    /// is bit-identical either way because both schedulers pop in the same
-    /// `(clock, proc id)` order.
-    pub(crate) fn execute<Q: Scheduler>(
+    /// Drive `source` to completion through `queue`, always advancing the
+    /// processor that orders first by `(clock, proc id)`.
+    fn execute(
         &mut self,
         source: &mut dyn TraceSource,
-        queue: &mut Q,
+        queue: &mut ProcScheduler,
     ) -> Result<SimResult, TraceError> {
         let workload = source.name().to_string();
         // Per-processor burst buffers: the supply side of the batched
@@ -317,7 +313,7 @@ impl<'a> RunState<'a> {
         }
 
         // A processor that loses the schedule is re-queued and the winner
-        // taken in one step (`Scheduler::push_pop`, one heap sift); the
+        // taken in one step (`ProcScheduler::push_pop`, one heap sift); the
         // loop pops only when no such hand-over is pending.
         let mut handed_over: Option<(Cycles, u16)> = None;
         'sched: while let Some((_, p)) = handed_over.take().or_else(|| queue.pop()) {
@@ -333,7 +329,7 @@ impl<'a> RunState<'a> {
             //
             // The head itself is read once per batch, not once per event:
             // while `p` runs, nothing else pushes into the scheduler (see
-            // `Scheduler::peek`'s contract), so the horizon is invariant
+            // `ProcScheduler::peek`'s contract), so the horizon is invariant
             // until this loop's one mid-batch push — an unlock handoff —
             // refreshes it.
             let mut horizon = horizon_key(queue);

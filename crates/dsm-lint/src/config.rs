@@ -44,7 +44,6 @@ impl Default for Config {
                 "SweepService::handle_line",
                 "serve_stream",
                 "ClusterSimulator::try_run*",
-                "ShardedSimulator::try_run*",
             ]
             .map(str::to_string)
             .to_vec(),

@@ -14,10 +14,6 @@
 //! The crate is deliberately dependency-free (its own JSON in [`json`], its
 //! own walker in [`workspace`]): the gate must build in seconds, before the
 //! simulator stack, and must never be taken down by the code it checks.
-//! The companion *dynamic* check — exhaustive lockstep interleaving
-//! exploration — lives in `mem-trace` (`ShardedSource::explore`), because it
-//! needs the simulator itself; see the README's "Static analysis" section
-//! for how the two fit together.
 
 pub mod baseline;
 pub mod config;

@@ -32,8 +32,6 @@ pub mod builder;
 pub mod intern;
 pub mod layout;
 pub mod replay;
-pub mod shard;
-pub mod sharded;
 pub mod sharers;
 pub mod source;
 pub mod trace;
@@ -47,8 +45,6 @@ pub use builder::{EventSink, StepWriter, TraceBuilder, TraceWriter};
 pub use intern::{BlockIdx, BlockRef, PageIdx, PageInterner, PageRef, Slab};
 pub use layout::{AddressSpace, Segment};
 pub use replay::{record, record_to_file, ReplaySource};
-pub use shard::ShardMap;
-pub use sharded::{PumpScript, ShardedSource};
 pub use sharers::SharerSet;
 pub use source::{
     default_window_cap, FusedSource, StepGenerator, ThreadedSource, TraceCursor, TraceSource,

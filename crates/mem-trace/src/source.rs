@@ -460,7 +460,7 @@ impl Demux {
 
 /// The demux viewed as an [`EventSink`]: what a [`FusedSource`] hands its
 /// step generator each pump.
-pub(crate) struct DemuxSink<'a>(pub(crate) &'a mut Demux);
+struct DemuxSink<'a>(&'a mut Demux);
 
 impl EventSink for DemuxSink<'_> {
     fn event(&mut self, proc: ProcId, ev: TraceEvent) {
@@ -622,26 +622,25 @@ impl TraceSource for FusedSource {
 
 /// Events per channel batch: big enough to amortize channel synchronization,
 /// small enough that a batch is a rounding error next to any real trace.
-pub(crate) const BATCH_EVENTS: usize = 1024;
+const BATCH_EVENTS: usize = 1024;
 /// Batches the channel buffers before the producer blocks.  Bounded memory:
 /// the producer can run at most `BATCH_BUFFER * BATCH_EVENTS` events ahead
 /// of the consumer (plus whatever the consumer demultiplexes while waiting
 /// for a specific processor's next event — itself bounded by the window
 /// cap).
-pub(crate) const BATCH_BUFFER: usize = 32;
+const BATCH_BUFFER: usize = 32;
 
-/// What flows through a [`ThreadedSource`]'s (or
-/// [`crate::sharded::ShardedSource`] lane's) channel: event batches,
+/// What flows through a [`ThreadedSource`]'s channel: event batches,
 /// interleaved with per-processor end-of-stream markers at the positions
 /// the generator emitted them.
-pub(crate) enum Chunk {
+enum Chunk {
     Events(Vec<(u16, TraceEvent)>),
     EndOfStream(u16),
 }
 
 /// The producer half of [`ThreadedSource`]: an [`EventSink`] that ships
 /// events to the consumer in bounded batches.
-pub(crate) struct ChannelSink {
+struct ChannelSink {
     tx: mpsc::SyncSender<Chunk>,
     buf: Vec<(u16, TraceEvent)>,
     /// Set once the consumer hung up; subsequent events are discarded so the
@@ -650,7 +649,7 @@ pub(crate) struct ChannelSink {
 }
 
 impl ChannelSink {
-    pub(crate) fn new(tx: mpsc::SyncSender<Chunk>) -> Self {
+    fn new(tx: mpsc::SyncSender<Chunk>) -> Self {
         ChannelSink {
             tx,
             buf: Vec::with_capacity(BATCH_EVENTS),
@@ -658,7 +657,7 @@ impl ChannelSink {
         }
     }
 
-    pub(crate) fn flush(&mut self) {
+    fn flush(&mut self) {
         if self.dead || self.buf.is_empty() {
             return;
         }

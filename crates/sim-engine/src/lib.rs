@@ -11,28 +11,21 @@
 //!   paper's Table 3.
 //! * [`Resource`] — a FIFO-served shared resource (memory bus, network
 //!   interface) that adds queueing delay when contended.
-//! * [`EventQueue`] — a stable min-heap for general timestamped payloads
-//!   (ties break by insertion order).
 //! * [`ProcScheduler`] — the cluster simulator's O(log P) processor
 //!   scheduler: a min-heap over `(clock, proc id)` with a deterministic
 //!   proc-id tie-break.
-//! * [`rng::SplitMix64`] / [`rng::Xoshiro256`] — small deterministic PRNGs
-//!   so that every simulation is exactly reproducible from a seed.
-//! * [`stats`] — online summary statistics and histograms used by the
-//!   experiment harness.
+//! * [`rng::SplitMix64`] — a small deterministic PRNG for seeding and
+//!   randomized tests, so every run is exactly reproducible from a seed.
+//! * [`stats::Histogram`] — fixed-bucket histograms.
 
 pub mod cycles;
-pub mod event;
 pub mod resource;
 pub mod rng;
 pub mod sched;
-pub mod shard;
 pub mod stats;
 
 pub use cycles::Cycles;
-pub use event::EventQueue;
 pub use resource::{Resource, ResourceStats};
-pub use rng::{SplitMix64, Xoshiro256};
+pub use rng::SplitMix64;
 pub use sched::{sched_key, ProcScheduler};
-pub use shard::{ClockWindow, Scheduler, ShardedScheduler};
-pub use stats::{Histogram, OnlineStats};
+pub use stats::Histogram;

@@ -1,11 +1,9 @@
-//! Small deterministic pseudo-random number generators.
+//! A small deterministic pseudo-random number generator.
 //!
-//! The workload generators need reproducible randomness (particle positions,
-//! sort keys, ray directions) and the simulator itself occasionally needs an
-//! unbiased tie-breaker.  We provide SplitMix64 (for seeding and cheap
-//! streams) and xoshiro256** (for higher-quality long streams) so that the
-//! core simulation stack does not depend on the `rand` crate; the workload
-//! crate layers `rand` on top where convenient.
+//! The randomized property tests need reproducible randomness without
+//! depending on the `rand` crate; SplitMix64 is tiny, fast and fully
+//! determined by its seed.  (The workload generators draw from the `rand`
+//! shim's own stream, not from this one.)
 
 /// SplitMix64: tiny, fast, passes BigCrush when used as a seeder.
 #[derive(Debug, Clone)]
@@ -46,61 +44,6 @@ impl SplitMix64 {
     }
 }
 
-/// xoshiro256**: general-purpose 256-bit-state generator.
-#[derive(Debug, Clone)]
-pub struct Xoshiro256 {
-    s: [u64; 4],
-}
-
-impl Xoshiro256 {
-    /// Seed via SplitMix64 as recommended by the xoshiro authors.
-    pub fn new(seed: u64) -> Self {
-        let mut sm = SplitMix64::new(seed);
-        Xoshiro256 {
-            s: [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()],
-        }
-    }
-
-    /// Next 64-bit value.
-    #[inline]
-    pub fn next_u64(&mut self) -> u64 {
-        let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-        let t = self.s[1] << 17;
-        self.s[2] ^= self.s[0];
-        self.s[3] ^= self.s[1];
-        self.s[1] ^= self.s[2];
-        self.s[0] ^= self.s[3];
-        self.s[2] ^= t;
-        self.s[3] = self.s[3].rotate_left(45);
-        result
-    }
-
-    /// Next value uniform in `[0, bound)`. `bound` must be non-zero.
-    #[inline]
-    pub fn next_below(&mut self, bound: u64) -> u64 {
-        debug_assert!(bound > 0);
-        ((self.next_u64() as u128 * bound as u128) >> 64) as u64
-    }
-
-    /// Next double uniform in `[0, 1)`.
-    #[inline]
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        let n = slice.len();
-        if n < 2 {
-            return;
-        }
-        for i in (1..n).rev() {
-            let j = self.next_below((i + 1) as u64) as usize;
-            slice.swap(i, j);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,7 +67,7 @@ mod tests {
 
     #[test]
     fn next_below_respects_bound() {
-        let mut rng = Xoshiro256::new(7);
+        let mut rng = SplitMix64::new(7);
         for bound in [1u64, 2, 3, 10, 1000, 1 << 40] {
             for _ in 0..200 {
                 assert!(rng.next_below(bound) < bound);
@@ -139,43 +82,5 @@ mod tests {
             let x = rng.next_f64();
             assert!((0.0..1.0).contains(&x));
         }
-    }
-
-    #[test]
-    fn xoshiro_is_deterministic_and_reasonably_uniform() {
-        let mut a = Xoshiro256::new(42);
-        let mut b = Xoshiro256::new(42);
-        let mut buckets = [0u32; 8];
-        for _ in 0..8000 {
-            let x = a.next_u64();
-            assert_eq!(x, b.next_u64());
-            buckets[(x >> 61) as usize] += 1;
-        }
-        for &count in &buckets {
-            // Each of the 8 top-3-bit buckets should get roughly 1000 hits.
-            assert!((600..1400).contains(&count), "bucket count {count}");
-        }
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = Xoshiro256::new(5);
-        let mut v: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        // With overwhelming probability the shuffle moved something.
-        assert_ne!(v, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn shuffle_of_short_slices_is_noop_safe() {
-        let mut rng = Xoshiro256::new(5);
-        let mut empty: [u32; 0] = [];
-        rng.shuffle(&mut empty);
-        let mut one = [42u32];
-        rng.shuffle(&mut one);
-        assert_eq!(one, [42]);
     }
 }

@@ -6,11 +6,11 @@
 //! costs — negligible at the paper's 32 processors, decisive for the
 //! scaled-up clusters the harness targets.
 //!
-//! Ties on the clock are broken by **proc id** (smaller first).  Unlike the
-//! insertion-order tie-break of [`crate::event::EventQueue`], the pop order
-//! of simultaneous processors is a pure function of the schedule contents —
-//! independent of the order events happened to be pushed — which makes the
-//! simulator's interleaving trivially reproducible from a state dump.
+//! Ties on the clock are broken by **proc id** (smaller first), not by
+//! insertion order, so the pop order of simultaneous processors is a pure
+//! function of the schedule contents — independent of the order events
+//! happened to be pushed — which makes the simulator's interleaving
+//! trivially reproducible from a state dump.
 //!
 //! A pair is stored and compared as one packed integer ([`sched_key`]):
 //! the clock in the high bits, the proc id in the low 16, so integer order
@@ -71,11 +71,6 @@ impl ProcScheduler {
         self.heap.push(Reverse(sched_key(time, proc)));
     }
 
-    /// The earliest pending wakeup time, if any.
-    pub fn peek_time(&self) -> Option<Cycles> {
-        self.peek().map(|(t, _)| t)
-    }
-
     /// The earliest pending `(time, proc)` wakeup without removing it —
     /// exactly what [`ProcScheduler::pop`] would return.  O(1).
     ///
@@ -83,6 +78,14 @@ impl ProcScheduler {
     /// possible: a processor whose advanced clock still orders before this
     /// pair would be popped straight back, so the push/pop round trip can
     /// be skipped without perturbing the interleaving.
+    ///
+    /// **Batch-horizon contract**: the head changes only through this
+    /// scheduler's own `push`, `pop` and `push_pop` — it has no other input
+    /// channel — so a run loop executing a batch of events for one
+    /// processor may cache this value as its wakeup horizon for the whole
+    /// batch, refreshing only after a mid-batch push.  The simulator's
+    /// batched loop depends on this to compare each event's advanced clock
+    /// against the horizon without a per-event peek.
     #[inline]
     pub fn peek(&self) -> Option<(Cycles, u16)> {
         self.heap.peek().map(|Reverse(key)| unpack(*key))
@@ -168,11 +171,11 @@ mod tests {
     fn peek_len_and_interleaving() {
         let mut s = ProcScheduler::new();
         assert!(s.is_empty());
-        assert_eq!(s.peek_time(), None);
+        assert_eq!(s.peek(), None);
         s.push(Cycles::new(42), 1);
         s.push(Cycles::new(7), 2);
         assert_eq!(s.len(), 2);
-        assert_eq!(s.peek_time(), Some(Cycles::new(7)));
+        assert_eq!(s.peek(), Some((Cycles::new(7), 2)));
         assert_eq!(s.pop(), Some((Cycles::new(7), 2)));
         s.push(Cycles::new(1), 3);
         assert_eq!(s.pop(), Some((Cycles::new(1), 3)));

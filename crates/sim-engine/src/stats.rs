@@ -1,123 +1,6 @@
-//! Online summary statistics and fixed-bucket histograms.
-//!
-//! The experiment harness aggregates per-node miss counts, page-operation
-//! counts and latencies across runs.  `OnlineStats` uses Welford's algorithm
-//! so variance stays numerically stable over long simulations.
+//! Fixed-bucket histograms with an overflow bin.
 
 use serde::{Deserialize, Serialize};
-
-/// Streaming mean/variance/min/max accumulator (Welford).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct OnlineStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-    sum: f64,
-}
-
-impl OnlineStats {
-    /// New, empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            sum: 0.0,
-        }
-    }
-
-    /// Add one observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        let delta = x - self.mean;
-        // dsm-lint: allow(float-order, Welford update on a single-owner accumulator; per-proc stats merge in fixed proc-id order)
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        if x < self.min {
-            self.min = x;
-        }
-        if x > self.max {
-            self.max = x;
-        }
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Arithmetic mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 if fewer than 2 observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (NaN if empty).
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation (NaN if empty).
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.max
-        }
-    }
-
-    /// Merge another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.mean = (n1 * self.mean + n2 * other.mean) / total;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// A histogram with uniformly sized buckets over `[0, bucket_width * buckets)`.
 /// Values beyond the last bucket are collected in an overflow bin.
@@ -197,69 +80,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_stats_basic() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-        assert!((s.sum() - 40.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_stats_are_safe() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert!(s.min().is_nan());
-        assert!(s.max().is_nan());
-    }
-
-    #[test]
-    fn merge_matches_single_stream() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &data {
-            whole.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &data[..37] {
-            a.push(x);
-        }
-        for &x in &data[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(3.0);
-        a.push(5.0);
-        let before_mean = a.mean();
-        a.merge(&OnlineStats::new());
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.mean(), before_mean);
-
-        let mut empty = OnlineStats::new();
-        empty.merge(&a);
-        assert_eq!(empty.count(), 2);
-        assert_eq!(empty.mean(), before_mean);
-    }
 
     #[test]
     fn histogram_buckets_and_overflow() {

@@ -44,8 +44,8 @@ mod util;
 pub use config::{CustomScale, Scale, WorkloadConfig};
 
 use mem_trace::{
-    EventSink, FusedSource, ProcId, ProgramTrace, PumpScript, ShardMap, ShardedSource,
-    StepGenerator, ThreadedSource, TraceEvent, TraceSource,
+    EventSink, FusedSource, ProcId, ProgramTrace, StepGenerator, ThreadedSource, TraceEvent,
+    TraceSource,
 };
 
 /// A workload that can generate a shared-memory reference trace.
@@ -174,56 +174,6 @@ pub fn stream(workload: Box<dyn Workload>, cfg: WorkloadConfig) -> Box<dyn Trace
     } else {
         Box::new(fused(&*workload, &cfg))
     }
-}
-
-/// One equally constructed stepper replica per shard of `map` — the input
-/// shape [`ShardedSource`] and the core crate's `ShardedSimulator` take.
-/// Replicas of the same deterministic stepper emit bit-identical global
-/// sequences, which is what makes the sharded split exact.
-pub fn replicas(
-    workload: &dyn Workload,
-    cfg: &WorkloadConfig,
-    map: ShardMap,
-) -> Vec<Box<dyn StepGenerator>> {
-    (0..map.shards()).map(|_| workload.stepper(cfg)).collect()
-}
-
-/// Run one filtered generator replica per shard on its own supply thread
-/// (`workers` as in `ShardMap::new`: clamped to the node count, `0` = one
-/// shard).  Event sequences are bit-identical to [`fused`] at any worker
-/// count; generation overlaps the consumer, per shard, on spare cores.
-pub fn sharded(workload: &dyn Workload, cfg: &WorkloadConfig, workers: usize) -> ShardedSource {
-    let map = ShardMap::new(cfg.topology, workers);
-    ShardedSource::spawn(workload.name(), map, replicas(workload, cfg, map))
-}
-
-/// [`sharded`]'s deterministic single-thread twin: all replicas inline,
-/// lane progress interleaved by a schedule scripted from `seed`.  Built for
-/// model-checking-style tests that sweep seeds to explore supply
-/// interleavings.
-pub fn sharded_lockstep(
-    workload: &dyn Workload,
-    cfg: &WorkloadConfig,
-    workers: usize,
-    seed: u64,
-) -> ShardedSource {
-    let map = ShardMap::new(cfg.topology, workers);
-    ShardedSource::lockstep(workload.name(), map, replicas(workload, cfg, map), seed)
-}
-
-/// [`sharded_lockstep`] with one *explicit* interleaving instead of a
-/// seeded one: replays `script` (see `ShardedSource::scripted`).  Built for
-/// the exhaustive explorer tests, which enumerate every script at small
-/// depth via `ShardedSource::explore` and assert the simulation result is
-/// bit-identical across all of them.
-pub fn sharded_scripted(
-    workload: &dyn Workload,
-    cfg: &WorkloadConfig,
-    workers: usize,
-    script: PumpScript,
-) -> ShardedSource {
-    let map = ShardMap::new(cfg.topology, workers);
-    ShardedSource::scripted(workload.name(), map, replicas(workload, cfg, map), script)
 }
 
 /// All seven workloads in Table 2 order.

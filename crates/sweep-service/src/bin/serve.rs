@@ -65,7 +65,7 @@ fn main() -> ExitCode {
         },
         None => ResultCache::in_memory(),
     };
-    let service = SweepService::with_workers(cache, opts.threads, opts.workers);
+    let service = SweepService::new(cache, opts.threads);
 
     let served = match &opts.socket {
         Some(path) => {

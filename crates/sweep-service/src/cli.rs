@@ -5,7 +5,6 @@
 
 use std::path::PathBuf;
 
-use dsm_bench::cli::parse_workers;
 use dsm_bench::CliError;
 
 /// Usage text printed by `--help` and pointed to by flag errors.
@@ -24,10 +23,6 @@ options:
                   restarts and are shared by every client of the file
   --threads N     default simulation worker threads per request (requests
                   may override with their own \"threads\" field)
-  --workers N     default per-simulation shard workers per request
-                  (`auto` = available cores, default 1 = serial; requests
-                  may override with their own \"workers\" field); results
-                  are bit-identical at any worker count
   --connect PATH  client mode: send one request to the server listening at
                   PATH and print its response lines
   --request JSON  the request line to send in client mode (default:
@@ -43,8 +38,6 @@ pub struct ServeOptions {
     pub cache: Option<PathBuf>,
     /// Default worker threads (`0` = the engine's per-core default).
     pub threads: usize,
-    /// Default per-simulation shard workers (`0` = auto, `1` = serial).
-    pub workers: usize,
     /// Client mode: connect to the server at this socket.
     pub connect: Option<PathBuf>,
     /// Client mode: the request line to send.
@@ -58,7 +51,6 @@ impl ServeOptions {
             socket: None,
             cache: None,
             threads: 0,
-            workers: 1,
             connect: None,
             request: None,
         };
@@ -78,9 +70,6 @@ impl ServeOptions {
                     opts.threads = v.parse().ok().filter(|n| *n > 0).ok_or_else(|| {
                         CliError::BadValue(format!("bad value `{v}` for `--threads`"))
                     })?;
-                }
-                "--workers" => {
-                    opts.workers = parse_workers(&value_of(&mut iter, "--workers")?)?;
                 }
                 "--connect" => {
                     opts.connect = Some(PathBuf::from(value_of(&mut iter, "--connect")?));
@@ -120,7 +109,6 @@ mod tests {
         assert_eq!(o.socket, None);
         assert_eq!(o.cache, None);
         assert_eq!(o.threads, 0);
-        assert_eq!(o.workers, 1, "default is the exact serial path");
         assert_eq!(o.connect, None);
     }
 
@@ -133,15 +121,11 @@ mod tests {
             "r.cache",
             "--threads",
             "4",
-            "--workers",
-            "2",
         ])
         .unwrap();
         assert_eq!(o.socket, Some(PathBuf::from("/tmp/s.sock")));
         assert_eq!(o.cache, Some(PathBuf::from("r.cache")));
         assert_eq!(o.threads, 4);
-        assert_eq!(o.workers, 2);
-        assert_eq!(parse(&["--workers", "auto"]).unwrap().workers, 0);
     }
 
     #[test]
@@ -167,10 +151,14 @@ mod tests {
     fn errors_follow_the_experiment_binary_conventions() {
         assert!(matches!(parse(&["--help"]), Err(CliError::Help)));
         assert!(matches!(parse(&["-h"]), Err(CliError::Help)));
-        assert!(matches!(
-            parse(&["--bogus"]),
-            Err(CliError::UnknownFlag(f)) if f == "--bogus"
-        ));
+        // `workers` names a removed flag: it is rejected like any unknown one.
+        for name in ["bogus", "workers"] {
+            let bogus = format!("--{name}");
+            assert!(matches!(
+                parse(&[bogus.as_str()]),
+                Err(CliError::UnknownFlag(f)) if f == bogus
+            ));
+        }
         // A missing value must not swallow the next flag.
         assert!(matches!(
             parse(&["--socket", "--cache"]),
@@ -182,10 +170,6 @@ mod tests {
         ));
         assert!(matches!(
             parse(&["--threads", "x"]),
-            Err(CliError::BadValue(_))
-        ));
-        assert!(matches!(
-            parse(&["--workers", "x"]),
             Err(CliError::BadValue(_))
         ));
     }

@@ -89,10 +89,6 @@ pub struct SweepSpec {
     pub relocation_delays: Vec<u64>,
     /// Worker threads (default: the server's configured count).
     pub threads: Option<usize>,
-    /// Per-simulation shard workers (`0` = auto; default: the server's
-    /// configured count).  Simulation results are bit-identical at any
-    /// worker count.
-    pub workers: Option<usize>,
 }
 
 impl Request {
@@ -170,7 +166,6 @@ impl SweepSpec {
             costs: v.get_str_list("costs")?.unwrap_or_default(),
             relocation_delays: v.get_u64_list("relocation_delays")?.unwrap_or_default(),
             threads: v.get_u64("threads").map(|n| n as usize),
-            workers: v.get_u64("workers").map(|n| n as usize),
         })
     }
 }
@@ -341,8 +336,8 @@ mod tests {
         assert_eq!(spec.baseline, None);
         assert!(spec.scales.is_empty());
         assert_eq!(spec.threads, None);
-        assert_eq!(spec.workers, None);
 
+        // Unknown keys, such as the removed `"workers"`, are ignored.
         let r = Request::parse(
             r#"{"kind":"sweep","id":"s2","name":"grid","workloads":["lu"],
                 "systems":["cc-numa"],"baseline":"perfect-cc-numa","scale":"x1/32",
@@ -362,7 +357,6 @@ mod tests {
         assert_eq!(spec.costs, vec!["base", "slow"]);
         assert_eq!(spec.relocation_delays, vec![0, 2000]);
         assert_eq!(spec.threads, Some(4));
-        assert_eq!(spec.workers, Some(2));
     }
 
     #[test]

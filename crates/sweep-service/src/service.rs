@@ -39,26 +39,15 @@ pub struct SweepService {
     /// Worker threads for requests that don't choose (`0` = the engine's
     /// default, one per core).
     threads: usize,
-    /// Per-simulation shard workers for requests that don't choose (`0` =
-    /// auto, `1` = the exact serial path).  Results are bit-identical at
-    /// any worker count, so the cache stays valid across settings.
-    workers: usize,
 }
 
 impl SweepService {
     /// A service over an existing cache.  `threads` = 0 leaves the sweep
     /// engine's per-core default in place.
     pub fn new(cache: ResultCache, threads: usize) -> Self {
-        Self::with_workers(cache, threads, 1)
-    }
-
-    /// [`SweepService::new`] with a default per-simulation shard worker
-    /// count (`0` = auto, `1` = serial).
-    pub fn with_workers(cache: ResultCache, threads: usize, workers: usize) -> Self {
         SweepService {
             cache: Mutex::new(cache),
             threads,
-            workers,
         }
     }
 
@@ -255,7 +244,6 @@ impl SweepService {
             None if self.threads > 0 => sweep = sweep.threads(self.threads),
             None => {}
         }
-        sweep = sweep.workers(spec.workers.unwrap_or(self.workers));
         Ok(sweep)
     }
 }

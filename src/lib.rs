@@ -44,18 +44,18 @@ pub mod prelude {
         SystemSet,
     };
     pub use dsm_core::{
-        resolve_workers, BlockCaching, ClusterSimulator, CostModel, MachineConfig, MigRep,
-        MigRepConfig, PageCaching, PageOp, PolicyStats, RelocationPolicy, ShardedSimulator,
-        SimResult, System, SystemBuilder, SystemConfig, SystemFeature, Thresholds,
+        BlockCaching, ClusterSimulator, CostModel, MachineConfig, MigRep, MigRepConfig,
+        PageCaching, PageOp, PolicyStats, RelocationPolicy, SimResult, System, SystemBuilder,
+        SystemConfig, SystemFeature, Thresholds,
     };
     pub use mem_trace::{
-        FusedSource, Geometry, GlobalAddr, ProcId, ProgramTrace, PumpScript, ReplaySource,
-        ShardMap, ShardedSource, SharerSet, StepGenerator, ThreadedSource, Topology, TraceBuilder,
-        TraceError, TraceSource, BLOCK_SIZE, PAGE_SIZE,
+        FusedSource, Geometry, GlobalAddr, ProcId, ProgramTrace, ReplaySource, SharerSet,
+        StepGenerator, ThreadedSource, Topology, TraceBuilder, TraceError, TraceSource, BLOCK_SIZE,
+        PAGE_SIZE,
     };
     pub use splash_workloads::{
-        by_name, catalog, fused, sharded, sharded_lockstep, sharded_scripted, stream,
-        stream_threaded, CustomScale, Scale, Workload, WorkloadConfig,
+        by_name, catalog, fused, stream, stream_threaded, CustomScale, Scale, Workload,
+        WorkloadConfig,
     };
 }
 

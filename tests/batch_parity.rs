@@ -7,10 +7,9 @@
 //! the exact serial pull order the pre-batching loop used — through the
 //! full committed 7×5 workload × system matrix and requires bit-identical
 //! fingerprints against `tests/golden/api_parity.txt`.  Together with
-//! `tests/api_parity.rs` (full-size bursts, same goldens) and
-//! `tests/sharded.rs` (the same batched loop at `--workers 4`), this pins
-//! batching as a pure supply-side optimization: serial, degenerate and
-//! sharded pulls all reproduce the same committed bits.
+//! `tests/api_parity.rs` (full-size bursts, same goldens), this pins
+//! batching as a pure supply-side optimization: full-size and degenerate
+//! pulls reproduce the same committed bits.
 
 use std::collections::BTreeMap;
 

@@ -453,8 +453,8 @@ fn scheduler_pops_sorted_by_clock_then_proc_id() {
 /// `push_pop` against a `BTreeSet` model: every pair it hands back must be
 /// the model's minimum.  Each processor is pending at most once, as in the
 /// simulator.
-fn scheduler_agrees_with_model<S: dsm_repro::sim::Scheduler>(
-    sched: &mut S,
+fn scheduler_agrees_with_model(
+    sched: &mut dsm_repro::sim::ProcScheduler,
     procs: u16,
     rng: &mut SplitMix64,
     label: &str,
@@ -500,20 +500,14 @@ fn scheduler_agrees_with_model<S: dsm_repro::sim::Scheduler>(
     assert!(sched.is_empty(), "{label}");
 }
 
-/// Both schedulers, through the `Scheduler` trait, under random
-/// `push`/`pop`/`push_pop` interleavings: the one-sift `push_pop` of the
-/// heap and the default `push` + `pop` of the sharded scheduler must both
-/// hand back the model's minimum every time.
+/// The scheduler under random `push`/`pop`/`push_pop` interleavings: the
+/// one-sift `push_pop` must hand back the model's minimum every time.
 #[test]
 fn schedulers_match_an_ordered_set_model() {
-    use dsm_repro::sim::{ProcScheduler, ShardedScheduler};
+    use dsm_repro::sim::ProcScheduler;
     let procs = 24u16;
     for case in 0..CASES {
         let mut rng = rng_for("scheduler-model", case);
         scheduler_agrees_with_model(&mut ProcScheduler::new(), procs, &mut rng, "heap");
-        let shards = 1 + rng.next_below(4) as u16;
-        let table: Vec<u16> = (0..procs).map(|p| p % shards).collect();
-        let mut sharded = ShardedScheduler::new(table, shards);
-        scheduler_agrees_with_model(&mut sharded, procs, &mut rng, "sharded");
     }
 }
