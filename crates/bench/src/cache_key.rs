@@ -51,7 +51,7 @@ pub struct CacheKey {
 impl CacheKey {
     /// The 32-hex-digit rendering used in reports and the cache file.
     pub fn to_hex(self) -> String {
-        format!("{:016x}{:016x}", self.hi, self.lo)
+        self.to_string()
     }
 
     /// Parse a [`CacheKey::to_hex`] rendering.  Returns `None` unless the
@@ -69,7 +69,7 @@ impl CacheKey {
 
 impl std::fmt::Display for CacheKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.to_hex())
+        write!(f, "{:016x}{:016x}", self.hi, self.lo)
     }
 }
 

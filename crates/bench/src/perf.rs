@@ -251,19 +251,41 @@ pub fn regression_failures(
 // The perf trend across PRs (`trend` binary)
 // ---------------------------------------------------------------------
 
-/// One `BENCH_*.json` file's contribution to the perf trend.
+/// One row of the perf trend.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrendEntry {
-    /// File name the entry came from.
+    /// File name the row came from.
     pub file: String,
     /// PR number (the JSON's `"pr"` field, else parsed from the
     /// `BENCH_<n>.json` name).
     pub pr: Option<u64>,
-    /// Parameter scale of the measurement.
+    /// Parameter scale of a `perf` measurement (`-` for a benchmark pair).
     pub scale: String,
-    /// Mean events/sec.  Trajectory files with pre/post sections report the
-    /// *last* (post-change) measurement: the state the PR left the repo in.
-    pub mean_events_per_sec: f64,
+    /// The benchmark workload key of a paired file's row (`None` for a
+    /// `perf` measurement).
+    pub workload: Option<String>,
+    /// Events/sec: a `perf` measurement's mean (trajectory files with
+    /// pre/post sections report the *last*, post-change one: the state the
+    /// PR left the repo in), or the change side's median of a benchmark
+    /// pair.
+    pub events_per_sec: f64,
+    /// `(q1, q3)` of the change side of a benchmark pair (`None` for a
+    /// `perf` mean).
+    pub quartiles: Option<(f64, f64)>,
+    /// The parent side's median of a benchmark pair: the previous PR,
+    /// measured in the same session (`None` for a `perf` mean).
+    pub parent_events_per_sec: Option<f64>,
+}
+
+/// The perf trend of a directory: every row, plus each `BENCH_*.json` that
+/// gave none, with the reason.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Trend {
+    /// Rows, ordered by PR number (unnumbered files last, by name); a
+    /// paired file's rows keep its workload order.
+    pub entries: Vec<TrendEntry>,
+    /// `(file, reason)` of every `BENCH_*.json` that could not be read.
+    pub unreadable: Vec<(String, String)>,
 }
 
 /// Scan one `BENCH_*.json` body for its trend entry.  Handles both the
@@ -289,79 +311,235 @@ pub fn parse_trend_entry(file: &str, json: &str) -> Option<TrendEntry> {
         .find("\"pr\":")
         .and_then(|at| scan_number(&json[at + "\"pr\":".len()..]))
         .map(|n| n as u64)
-        .or_else(|| {
-            file.strip_prefix("BENCH_")?
-                .strip_suffix(".json")?
-                .parse()
-                .ok()
-        });
+        .or_else(|| pr_from_name(file));
     Some(TrendEntry {
         file: file.to_string(),
         pr,
         scale,
-        mean_events_per_sec: mean,
+        workload: None,
+        events_per_sec: mean,
+        quartiles: None,
+        parent_events_per_sec: None,
     })
+}
+
+/// Read a `"bench": "dsm-benchmark-pairs"` body (the repository benchmark's
+/// alternating parent/change runs): one row per key of its `workloads`
+/// object, giving the change side's `events_per_sec` median and quartiles
+/// (and the parent side's median, when the file has it).
+/// `Err` names what is missing; a file with any unreadable workload gives
+/// no rows.
+fn parse_paired_entries(file: &str, json: &str) -> Result<Vec<TrendEntry>, String> {
+    let top = object_members(json).ok_or("not a JSON object")?;
+    if member(&top, "bench") != Some("\"dsm-benchmark-pairs\"") {
+        return Err("no `mean_events_per_sec` and not a `dsm-benchmark-pairs` file".to_string());
+    }
+    let pr = member(&top, "pr")
+        .and_then(scan_number)
+        .map(|n| n as u64)
+        .or_else(|| pr_from_name(file));
+    let workloads = member(&top, "workloads")
+        .and_then(object_members)
+        .ok_or("no `workloads` object")?;
+    workloads
+        .into_iter()
+        .map(|(workload, body)| {
+            let side = |name: &str| {
+                ["metrics", "events_per_sec", name]
+                    .iter()
+                    .try_fold(body, |text, key| member(&object_members(text)?, key))
+                    .and_then(object_members)
+            };
+            let change = side("change").ok_or_else(|| {
+                format!("workload `{workload}` has no change-side events_per_sec")
+            })?;
+            let stat = |key: &str| {
+                member(&change, key)
+                    .and_then(scan_number)
+                    .ok_or_else(|| format!("workload `{workload}` has no events_per_sec {key}"))
+            };
+            Ok(TrendEntry {
+                file: file.to_string(),
+                pr,
+                scale: "-".to_string(),
+                workload: Some(workload.to_string()),
+                events_per_sec: stat("median")?,
+                quartiles: Some((stat("q1")?, stat("q3")?)),
+                parent_events_per_sec: side("parent")
+                    .and_then(|parent| member(&parent, "median").and_then(scan_number)),
+            })
+        })
+        .collect()
+}
+
+/// The rows one `BENCH_*.json` body contributes: a `perf` report's mean,
+/// else a benchmark-pairs file's workloads.
+fn trend_rows(file: &str, json: &str) -> Result<Vec<TrendEntry>, String> {
+    match parse_trend_entry(file, json) {
+        Some(entry) => Ok(vec![entry]),
+        None => parse_paired_entries(file, json),
+    }
+}
+
+fn pr_from_name(file: &str) -> Option<u64> {
+    file.strip_prefix("BENCH_")?
+        .strip_suffix(".json")?
+        .parse()
+        .ok()
 }
 
 fn scan_number(rest: &str) -> Option<f64> {
     let rest = rest.trim_start();
     let end = rest
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
+        .find(|c: char| !matches!(c, '0'..='9' | '.' | '-' | '+' | 'e' | 'E'))
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
 }
 
-/// Collect every `BENCH_*.json` under `dir` into trend entries, ordered by
-/// PR number (unnumbered files last, by name).
-pub fn collect_trend(dir: &Path) -> io::Result<Vec<TrendEntry>> {
-    let mut entries = Vec::new();
+/// The value text of member `key` in `members` (see [`object_members`]).
+fn member<'a>(members: &[(&str, &'a str)], key: &str) -> Option<&'a str> {
+    members.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
+}
+
+/// The members of the JSON object that `text` starts with, as `(key, value
+/// text)` pairs in file order.  Like [`parse_jobs`], a scanner for the one
+/// format it reads rather than a parser: it matches brackets and skips
+/// string literals, and leaves keys raw and values undecoded.  `None` when
+/// `text` does not start with a well-bracketed object.
+fn object_members(text: &str) -> Option<Vec<(&str, &str)>> {
+    let body = text.trim_start().strip_prefix('{')?;
+    let bytes = body.as_bytes();
+    let skip_ws = |mut at: usize| {
+        while bytes.get(at).is_some_and(u8::is_ascii_whitespace) {
+            at += 1;
+        }
+        at
+    };
+    let mut members = Vec::new();
+    let mut at = skip_ws(0);
+    loop {
+        match bytes.get(at)? {
+            b'}' => return Some(members),
+            b'"' => {}
+            _ => return None,
+        }
+        let key_end = string_end(bytes, at)?;
+        let key = body.get(at + 1..key_end - 1)?;
+        at = skip_ws(key_end);
+        if bytes.get(at)? != &b':' {
+            return None;
+        }
+        let start = skip_ws(at + 1);
+        at = start;
+        let mut depth = 0usize;
+        loop {
+            match bytes.get(at)? {
+                b'"' => {
+                    at = string_end(bytes, at)?;
+                    continue;
+                }
+                b'{' | b'[' => depth += 1,
+                b'}' | b']' | b',' if depth == 0 => break,
+                b'}' | b']' => depth -= 1,
+                _ => {}
+            }
+            at += 1;
+        }
+        members.push((key, body.get(start..at)?.trim_end()));
+        if bytes.get(at)? == &b',' {
+            at = skip_ws(at + 1);
+        }
+    }
+}
+
+/// The index just past the string literal whose opening quote is
+/// `bytes[at]`.
+fn string_end(bytes: &[u8], at: usize) -> Option<usize> {
+    let mut i = at + 1;
+    loop {
+        match bytes.get(i)? {
+            b'\\' => i += 2,
+            b'"' => return Some(i + 1),
+            _ => i += 1,
+        }
+    }
+}
+
+/// Collect the trend rows of every `BENCH_*.json` under `dir`.  A file that
+/// cannot be read or gives no rows is listed in [`Trend::unreadable`].
+pub fn collect_trend(dir: &Path) -> io::Result<Trend> {
+    let mut trend = Trend::default();
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name().to_string_lossy().to_string();
         if !name.starts_with("BENCH_") || !name.ends_with(".json") {
             continue;
         }
-        let body = std::fs::read_to_string(entry.path())?;
-        if let Some(t) = parse_trend_entry(&name, &body) {
-            entries.push(t);
+        let rows = std::fs::read_to_string(entry.path())
+            .map_err(|e| e.to_string())
+            .and_then(|body| trend_rows(&name, &body));
+        match rows {
+            Ok(rows) => trend.entries.extend(rows),
+            Err(reason) => trend.unreadable.push((name, reason)),
         }
     }
-    entries.sort_by(|a, b| match (a.pr, b.pr) {
+    // Stable: a paired file's rows keep their workload order.
+    trend.entries.sort_by(|a, b| match (a.pr, b.pr) {
         (Some(x), Some(y)) => x.cmp(&y),
         (Some(_), None) => std::cmp::Ordering::Less,
         (None, Some(_)) => std::cmp::Ordering::Greater,
         (None, None) => a.file.cmp(&b.file),
     });
-    Ok(entries)
+    trend.unreadable.sort();
+    Ok(trend)
 }
 
-/// Tabulate the trend: one row per `BENCH_*.json`, with each row's speedup
-/// against the previous PR's mean.  A ratio is only printed when the two
-/// rows were measured at the same scale — a reduced-vs-paper quotient would
-/// read as a huge regression (or win) that is really just the scale change.
-pub fn format_trend(entries: &[TrendEntry]) -> String {
-    let mut out = String::from("# perf trend: mean events/sec per PR (from BENCH_*.json)\n");
+/// Tabulate the trend: one row per entry with its speedup over the
+/// previous PR, then one line per unreadable file.  A `perf` mean is
+/// compared with the previous `perf` row of the same scale: a
+/// reduced-vs-paper quotient would read as a huge regression (or win) that
+/// is really the scale change.  A benchmark median is compared with the
+/// parent side of its own pairs, the previous PR measured in the same
+/// session, never with another file's numbers from another session.
+pub fn format_trend(trend: &Trend) -> String {
+    let mut out = String::from(
+        "# perf trend per PR (from BENCH_*.json): a perf report's mean events/sec, \
+         or a benchmark pair's change-side median [q1, q3]\n",
+    );
     out.push_str(&format!(
-        "{:<16} {:>4} {:>9} {:>20} {:>10}\n",
-        "file", "pr", "scale", "mean_events_per_sec", "vs_prev"
+        "{:<16} {:>4} {:>9} {:>14} {:>14} {:>24} {:>8}\n",
+        "file", "pr", "scale", "workload", "events_per_sec", "[q1, q3]", "vs_prev"
     ));
-    let mut prev: Option<&TrendEntry> = None;
-    for e in entries {
+    for (i, e) in trend.entries.iter().enumerate() {
+        let prev = if e.workload.is_some() {
+            e.parent_events_per_sec
+        } else {
+            trend.entries[..i]
+                .iter()
+                .rev()
+                .find(|p| p.workload.is_none() && p.scale == e.scale)
+                .map(|p| p.events_per_sec)
+        };
         let vs_prev = match prev {
-            Some(p) if p.mean_events_per_sec > 0.0 && p.scale == e.scale => {
-                format!("{:.2}x", e.mean_events_per_sec / p.mean_events_per_sec)
-            }
+            Some(p) if p > 0.0 => format!("{:.2}x", e.events_per_sec / p),
             _ => "-".to_string(),
         };
+        let quartiles = e
+            .quartiles
+            .map_or_else(|| "-".to_string(), |(q1, q3)| format!("[{q1:.1}, {q3:.1}]"));
         out.push_str(&format!(
-            "{:<16} {:>4} {:>9} {:>20.1} {:>10}\n",
+            "{:<16} {:>4} {:>9} {:>14} {:>14.1} {:>24} {:>8}\n",
             e.file,
             e.pr.map_or_else(|| "-".to_string(), |p| p.to_string()),
             e.scale,
-            e.mean_events_per_sec,
+            e.workload.as_deref().unwrap_or("-"),
+            e.events_per_sec,
+            quartiles,
             vs_prev
         ));
-        prev = Some(e);
+    }
+    for (file, reason) in &trend.unreadable {
+        out.push_str(&format!("# unreadable: {file}: {reason}\n"));
     }
     out
 }
@@ -486,7 +664,7 @@ mod tests {
         let t = parse_trend_entry("BENCH_4.json", &plain).unwrap();
         assert_eq!(t.pr, Some(4));
         assert_eq!(t.scale, "reduced");
-        assert!((t.mean_events_per_sec - 2_000_000.0).abs() < 1.0);
+        assert!((t.events_per_sec - 2_000_000.0).abs() < 1.0);
 
         // Trajectory wrapper: explicit pr, and the *last* mean wins (the
         // post-change state).
@@ -503,7 +681,7 @@ mod tests {
         );
         let t = parse_trend_entry("BENCH_3.json", &wrapper).unwrap();
         assert_eq!(t.pr, Some(3));
-        assert!((t.mean_events_per_sec - 6_000_000.0).abs() < 1.0);
+        assert!((t.events_per_sec - 6_000_000.0).abs() < 1.0);
 
         // Pretty-printed JSON (the BENCH_3.json style, spaces after
         // colons) parses too.
@@ -512,29 +690,34 @@ mod tests {
         let t = parse_trend_entry("BENCH_6.json", pretty).unwrap();
         assert_eq!(t.pr, Some(6));
         assert_eq!(t.scale, "paper");
-        assert!((t.mean_events_per_sec - 1234.5).abs() < 0.01);
+        assert!((t.events_per_sec - 1234.5).abs() < 0.01);
 
         // Garbage yields no entry.
         assert!(parse_trend_entry("BENCH_9.json", "not json").is_none());
     }
 
+    fn perf_row(file: &str, pr: u64, scale: &str, events_per_sec: f64) -> TrendEntry {
+        TrendEntry {
+            file: file.into(),
+            pr: Some(pr),
+            scale: scale.into(),
+            workload: None,
+            events_per_sec,
+            quartiles: None,
+            parent_events_per_sec: None,
+        }
+    }
+
     #[test]
     fn trend_table_orders_by_pr_and_reports_speedups() {
         let entries = vec![
-            TrendEntry {
-                file: "BENCH_3.json".into(),
-                pr: Some(3),
-                scale: "paper".into(),
-                mean_events_per_sec: 2_000_000.0,
-            },
-            TrendEntry {
-                file: "BENCH_4.json".into(),
-                pr: Some(4),
-                scale: "paper".into(),
-                mean_events_per_sec: 3_000_000.0,
-            },
+            perf_row("BENCH_3.json", 3, "paper", 2_000_000.0),
+            perf_row("BENCH_4.json", 4, "paper", 3_000_000.0),
         ];
-        let table = format_trend(&entries);
+        let table = format_trend(&Trend {
+            entries: entries.clone(),
+            unreadable: vec![],
+        });
         assert!(table.contains("BENCH_3.json"));
         assert!(table.contains("BENCH_4.json"));
         assert!(table.contains("1.50x"), "{table}");
@@ -543,15 +726,13 @@ mod tests {
         // A scale change between adjacent rows suppresses the ratio: a
         // reduced-vs-paper quotient is not a speedup.
         let mixed = vec![
-            TrendEntry {
-                file: "BENCH_2.json".into(),
-                pr: Some(2),
-                scale: "reduced".into(),
-                mean_events_per_sec: 5_000_000.0,
-            },
+            perf_row("BENCH_2.json", 2, "reduced", 5_000_000.0),
             entries[0].clone(),
         ];
-        let table = format_trend(&mixed);
+        let table = format_trend(&Trend {
+            entries: mixed,
+            unreadable: vec![],
+        });
         assert!(!table.contains('x'), "cross-scale ratio printed: {table}");
     }
 
@@ -562,11 +743,89 @@ mod tests {
         std::fs::write(dir.join("BENCH_7.json"), to_json(&toy_report())).unwrap();
         std::fs::write(dir.join("BENCH_5.json"), to_json(&toy_report())).unwrap();
         std::fs::write(dir.join("unrelated.json"), "{}").unwrap();
-        let entries = collect_trend(&dir).unwrap();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].pr, Some(5), "sorted by PR number");
-        assert_eq!(entries[1].pr, Some(7));
+        std::fs::write(dir.join("BENCH_6.json"), PAIRED).unwrap();
+        std::fs::write(dir.join("BENCH_9.json"), "not json").unwrap();
+        let trend = collect_trend(&dir).unwrap();
+        let rows: Vec<(Option<u64>, Option<&str>)> = trend
+            .entries
+            .iter()
+            .map(|e| (e.pr, e.workload.as_deref()))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                (Some(5), None),
+                (Some(7), None),
+                (Some(16), Some("paper")),
+                (Some(16), Some("serve"))
+            ],
+            "sorted by PR number, a paired file's rows in file order"
+        );
+        assert_eq!(trend.unreadable.len(), 1, "{:?}", trend.unreadable);
+        assert_eq!(trend.unreadable[0].0, "BENCH_9.json");
+        let table = format_trend(&trend);
+        assert!(table.contains("# unreadable: BENCH_9.json"), "{table}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A benchmark-pairs file trimmed to what the trend reads, plus a
+    /// metric and a parent side it must ignore.
+    const PAIRED: &str = r#"{
+ "bench": "dsm-benchmark-pairs",
+ "pr": 16,
+ "description": "braces {in [a string]} and \"quotes\" are skipped",
+ "workloads": {
+  "paper": {
+   "pairs": 5,
+   "metrics": {
+    "cold_sweep_s": {"change": {"median": 3.2, "q1": 2.9, "q3": 3.4}},
+    "events_per_sec": {
+     "unit": "accesses/s",
+     "parent": {"median": 3951082.3, "q1": 3552228.9, "q3": 5110897.6, "runs": [1, 2]},
+     "change": {"median": 4351074.9, "q1": 4139068.7, "q3": 4795746.0, "runs": [4, 5]}
+    }
+   }
+  },
+  "serve": {
+   "metrics": {"events_per_sec": {"change": {"median": 9.5e6, "q1": 9.4e6, "q3": 1.07e7}}}
+  }
+ }
+}"#;
+
+    #[test]
+    fn paired_files_give_one_row_per_workload() {
+        let rows = parse_paired_entries("BENCH_16.json", PAIRED).unwrap();
+        assert_eq!(rows.len(), 2);
+        let paper = &rows[0];
+        assert_eq!(
+            (paper.pr, paper.workload.as_deref(), paper.scale.as_str()),
+            (Some(16), Some("paper"), "-")
+        );
+        assert_eq!(paper.events_per_sec, 4351074.9, "the change side's median");
+        assert_eq!(paper.quartiles, Some((4139068.7, 4795746.0)));
+        assert_eq!(paper.parent_events_per_sec, Some(3951082.3));
+        assert_eq!(rows[1].workload.as_deref(), Some("serve"));
+        assert_eq!(rows[1].events_per_sec, 9.5e6);
+        assert_eq!(rows[1].quartiles, Some((9.4e6, 1.07e7)));
+        assert_eq!(rows[1].parent_events_per_sec, None);
+
+        let table = format_trend(&Trend {
+            entries: rows,
+            unreadable: vec![],
+        });
+        assert!(table.contains("[4139068.7, 4795746.0]"), "{table}");
+        // Against its own parent side (4351074.9 / 3951082.3), and no
+        // ratio for the workload without one.
+        assert!(table.contains("1.10x"), "{table}");
+        assert_eq!(table.matches('x').count(), 1, "{table}");
+
+        // A workload without a change-side median makes the file
+        // unreadable, naming the workload; so does a perf-less non-pair.
+        let broken = PAIRED.replace("\"median\": 9.5e6, ", "");
+        let err = parse_paired_entries("BENCH_16.json", &broken).unwrap_err();
+        assert!(err.contains("`serve`") && err.contains("median"), "{err}");
+        assert!(trend_rows("BENCH_1.json", r#"{"bench":"other"}"#).is_err());
+        assert!(trend_rows("BENCH_1.json", "{\"bench\": \"dsm-benchmark-pairs\"").is_err());
     }
 
     #[test]

@@ -6,6 +6,9 @@
 //! report formatters consume.  (The legacy `run_experiment` free function
 //! is gone; its behaviour is pinned by the golden-snapshot parity tests.)
 
+use std::num::NonZeroUsize;
+use std::sync::OnceLock;
+
 use dsm_core::SimResult;
 
 /// All results for one workload within an experiment.
@@ -68,9 +71,19 @@ impl ExperimentResult {
 /// machines use every core a figure can keep busy instead of idling past an
 /// arbitrary ceiling.
 pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
+    available_cores().unwrap_or(4)
+}
+
+/// The processor count `std::thread::available_parallelism` reports, read
+/// once per process: on Linux each call reads cgroup files, and a sweep
+/// service builds a `Sweep` per request.
+pub(crate) fn available_cores() -> Option<usize> {
+    static CORES: OnceLock<Option<usize>> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .ok()
+            .map(NonZeroUsize::get)
+    })
 }
 
 #[cfg(test)]

@@ -52,7 +52,7 @@ use std::sync::{Mutex, PoisonError};
 
 use crate::cache_key::{point_key, CacheKey};
 use crate::presets::{ExperimentScale, SystemSet};
-use crate::runner::default_threads;
+use crate::runner::{available_cores, default_threads};
 use dsm_core::{ClusterSimulator, CostModel, MachineConfig, SimResult, SystemConfig, Thresholds};
 use dsm_protocol::MsgKind;
 use mem_trace::{Geometry, ProgramTrace, ReplaySource, Topology, TraceSource};
@@ -259,10 +259,7 @@ impl SourceMode {
         match self {
             SourceMode::Fused => true,
             SourceMode::Threaded => false,
-            SourceMode::Auto => {
-                let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-                worker_threads >= cores
-            }
+            SourceMode::Auto => worker_threads >= available_cores().unwrap_or(1),
         }
     }
 }
@@ -591,17 +588,22 @@ impl Sweep {
     /// [`Sweep::run`] with a result cache and incremental delivery — the
     /// engine behind the `sweep-service` crate.
     ///
-    /// Before simulating a job, `lookup` is consulted with the job's
-    /// [`ParamPoint`] and [`CacheKey`]; returning `Some(result)` substitutes
-    /// the stored result for the simulation (the caller guarantees the
-    /// result belongs to the key — the key construction guarantees it is
-    /// then bit-identical to a fresh run).  As each job completes, `on_event`
-    /// receives a [`SweepEvent`] carrying the result, its key, whether it
-    /// was served from cache, and — for compared points — its normalization.
-    /// Jobs run in two phases (all baselines, then all points, each phase
-    /// parallel across worker threads) so every point event can carry its
-    /// normalized time the moment the point completes; events within a phase
-    /// fire in completion order, serialized through a lock around the sink.
+    /// Jobs run in two phases, all baselines and then all points, so every
+    /// point event can carry its normalized time the moment it is emitted.
+    /// A phase starts on the calling thread: `lookup` is called exactly once
+    /// per job with the job's [`ParamPoint`] and [`CacheKey`], and a
+    /// `Some((result, fingerprint))` substitutes the stored result and its
+    /// [`SimResult::fingerprint`] for the simulation (the caller guarantees
+    /// both belong to the key — the key construction guarantees the result
+    /// is then bit-identical to a fresh run).  `on_event` receives one
+    /// [`SweepEvent`] per job: first every hit of the phase, on the calling
+    /// thread and in index order; then the misses, in completion order, from
+    /// `min(threads, misses)` worker threads serialized through a lock around
+    /// the sink.  A phase where every job hit starts no thread.  A simulated
+    /// result's fingerprint is computed once, by the worker that ran it.
+    /// The points are looked up only after every baseline ran, so a point
+    /// whose key equals a baseline's can be served the result the caller
+    /// stored from that baseline's event.
     ///
     /// Cache lookups apply only to *named* workloads: pre-built traces and
     /// replay files contribute trace content the key does not capture, so
@@ -609,36 +611,19 @@ impl Sweep {
     ///
     /// # Panics
     /// As [`Sweep::run`].
-    pub fn run_streaming<L, F>(self, lookup: L, on_event: F) -> SweepResult
+    pub fn run_streaming<L, F>(self, mut lookup: L, on_event: F) -> SweepResult
     where
-        L: Fn(&ParamPoint, CacheKey) -> Option<SimResult> + Sync,
+        L: FnMut(&ParamPoint, CacheKey) -> Option<(SimResult, u64)>,
         F: FnMut(SweepEvent<'_>) + Send,
     {
-        let space = self.space();
+        let mut space = self.space();
         let workloads = &self.workloads;
-
-        // Fused (generator inside the pull loop) when the workers already
-        // saturate the cores; threaded (generator on its own thread) when
-        // spare cores can overlap generation with simulation.  The results
-        // are bit-identical either way — only wall-clock differs.
         let threads = self.threads.max(1);
-        let fused = self.source_mode.use_fused(threads.min(space.len().max(1)));
+        let source_mode = self.source_mode;
 
-        let run_job = |point: &ParamPoint| -> Outcome {
-            let cache_key = point.cache_key();
-            let cacheable = matches!(&workloads[point.workload_index], WorkloadSpec::Named(_));
+        let simulate = |point: &ParamPoint, cache_key: CacheKey, fused: bool| -> Outcome {
             // dsm-lint: allow(wall-clock, per-job elapsed_seconds is harness reporting; simulated time comes from the cost model)
             let start = std::time::Instant::now(); // dsm-lint: allow(det-taint, elapsed_seconds is harness telemetry on the outcome envelope; SimResult and its fingerprint are computed only from simulation state)
-            if cacheable {
-                if let Some(result) = lookup(point, cache_key) {
-                    return Outcome {
-                        result,
-                        elapsed_seconds: start.elapsed().as_secs_f64(),
-                        cache_key,
-                        cached: true,
-                    };
-                }
-            }
             let sim = ClusterSimulator::new(point.machine, point.system.clone());
             let result = match &workloads[point.workload_index] {
                 WorkloadSpec::Named(name) => {
@@ -661,75 +646,106 @@ impl Sweep {
                     sim.run_source(&mut replay)
                 }
             };
+            let elapsed_seconds = start.elapsed().as_secs_f64();
             Outcome {
+                fingerprint: result.fingerprint(),
                 result,
-                elapsed_seconds: start.elapsed().as_secs_f64(),
+                elapsed_seconds,
                 cache_key,
                 cached: false,
             }
         };
 
-        // One scheduling pass per phase: each worker claims the next
-        // unclaimed job, placement is by index, so result order is
-        // deterministic regardless of thread interleaving.  Events fire as
-        // jobs complete, serialized through the sink lock.
-        let sink = Mutex::new(on_event);
-        let run_phase = |jobs: &[ParamPoint], emit: &NormalizeFn<'_>| -> Vec<Outcome> {
-            let table: Mutex<Vec<Option<Outcome>>> = Mutex::new(vec![None; jobs.len()]);
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..threads.min(jobs.len()).max(1) {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs.len() {
-                            break;
-                        }
-                        let outcome = run_job(&jobs[i]);
-                        let normalization = emit(i, &jobs[i], &outcome);
-                        // A poisoned lock means a sibling worker panicked
-                        // mid-event or mid-store.  Stop claiming jobs and
-                        // return: thread::scope re-raises the sibling's
-                        // panic at the join, which is the one we want to
-                        // see — not a second "poisoned" panic on top of it.
-                        {
-                            let Ok(mut on_event) = sink.lock() else {
-                                return;
-                            };
-                            (*on_event)(SweepEvent::new(i, &jobs[i], &outcome, normalization));
-                        }
-                        match table.lock() {
-                            Ok(mut table) => table[i] = Some(outcome),
-                            Err(_) => return,
-                        }
-                    });
+        // One pass per phase: hits answered and emitted here, then each
+        // worker claims the next unclaimed miss.  Placement is by index, so
+        // result order is deterministic regardless of thread interleaving.
+        let mut sink = Mutex::new(on_event);
+        let mut run_phase = |jobs: &[ParamPoint], normalize: &NormalizeFn<'_>| -> Vec<Outcome> {
+            let mut slots: Vec<Option<Outcome>> = Vec::with_capacity(jobs.len());
+            let mut misses: Vec<(usize, CacheKey)> = Vec::new();
+            // No worker has run yet in this phase, and a panic in an earlier
+            // phase's worker re-raised out of its thread::scope, so the
+            // poison recovery is vacuous.
+            let on_event = sink.get_mut().unwrap_or_else(PoisonError::into_inner);
+            for (i, point) in jobs.iter().enumerate() {
+                let cache_key = point.cache_key();
+                let hit = if matches!(&workloads[point.workload_index], WorkloadSpec::Named(_)) {
+                    // dsm-lint: allow(wall-clock, a hit's elapsed_seconds is its measured lookup time, harness reporting only)
+                    let start = std::time::Instant::now(); // dsm-lint: allow(det-taint, elapsed_seconds is harness telemetry on the outcome envelope; the cached SimResult and fingerprint come from the lookup)
+                    lookup(point, cache_key).map(|(result, fingerprint)| Outcome {
+                        result,
+                        fingerprint,
+                        elapsed_seconds: start.elapsed().as_secs_f64(),
+                        cache_key,
+                        cached: true,
+                    })
+                } else {
+                    None
+                };
+                match hit {
+                    Some(outcome) => {
+                        on_event(SweepEvent::new(i, point, &outcome, normalize(i, &outcome)));
+                        slots.push(Some(outcome));
+                    }
+                    None => {
+                        misses.push((i, cache_key));
+                        slots.push(None);
+                    }
                 }
-            });
-            // Reaching here means every worker returned normally (a panic
-            // would have propagated out of thread::scope above), so the
-            // poison recovery is vacuous and every slot is filled.
-            table
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
+            }
+            if !misses.is_empty() {
+                let workers = threads.min(misses.len());
+                // Fused (generator inside the pull loop) when the workers
+                // saturate the cores; threaded (generator on its own thread)
+                // when spare cores can overlap generation with simulation.
+                // The results are bit-identical either way.
+                let fused = source_mode.use_fused(workers);
+                let (sink, table) = (&sink, Mutex::new(slots));
+                let next = AtomicUsize::new(0);
+                std::thread::scope(|scope| {
+                    for _ in 0..workers {
+                        scope.spawn(|| {
+                            while let Some(&(i, cache_key)) =
+                                misses.get(next.fetch_add(1, Ordering::Relaxed))
+                            {
+                                let outcome = simulate(&jobs[i], cache_key, fused);
+                                let normalization = normalize(i, &outcome);
+                                // A poisoned lock means a sibling worker
+                                // panicked mid-event or mid-store.  Stop
+                                // claiming jobs and return: thread::scope
+                                // re-raises the sibling's panic at the join,
+                                // which is the one we want to see — not a
+                                // second "poisoned" panic on top of it.
+                                {
+                                    let Ok(mut on_event) = sink.lock() else {
+                                        return;
+                                    };
+                                    (*on_event)(SweepEvent::new(
+                                        i,
+                                        &jobs[i],
+                                        &outcome,
+                                        normalization,
+                                    ));
+                                }
+                                match table.lock() {
+                                    Ok(mut table) => table[i] = Some(outcome),
+                                    Err(_) => return,
+                                }
+                            }
+                        });
+                    }
+                });
+                // Reaching here means every worker returned normally (a
+                // panic would have propagated out of thread::scope above),
+                // so this poison recovery is vacuous too.
+                slots = table.into_inner().unwrap_or_else(PoisonError::into_inner);
+            }
+            slots
                 .into_iter()
-                // dsm-lint: allow(panic-path, every index in 0..jobs.len() is claimed and stored exactly once; a worker panic would have re-raised out of thread::scope before this line)
+                // dsm-lint: allow(panic-path, every index in 0..jobs.len() is either a hit stored above or a miss claimed and stored exactly once; a worker panic would have re-raised out of thread::scope before this line)
                 .map(|o| o.expect("job result missing"))
                 .collect()
         };
-
-        // Phase 1: every baseline.
-        let baseline_outcomes = run_phase(&space.baselines, &|_, _, _| None);
-        let baselines: Vec<BaselinePoint> = space
-            .baselines
-            .iter()
-            .zip(&baseline_outcomes)
-            .map(|(p, o)| BaselinePoint {
-                axes: p.axes.clone(),
-                result: o.result.clone(),
-                elapsed_seconds: o.elapsed_seconds,
-                cache_key: o.cache_key,
-                cached: o.cached,
-            })
-            .collect();
 
         // Pair each point against the space's baseline ParamPoints, which
         // carry the workload *index* — display names may collide (two
@@ -748,10 +764,24 @@ impl Sweep {
             })
             .collect();
 
+        // Phase 1: every baseline.
+        let baseline_outcomes = run_phase(&space.baselines, &|_, _| None);
+        let baselines: Vec<BaselinePoint> = std::mem::take(&mut space.baselines)
+            .into_iter()
+            .zip(baseline_outcomes)
+            .map(|(p, o)| BaselinePoint {
+                axes: p.axes,
+                result: o.result,
+                elapsed_seconds: o.elapsed_seconds,
+                cache_key: o.cache_key,
+                cached: o.cached,
+            })
+            .collect();
+
         // Phase 2: every compared point, normalized against its (now
         // complete) baseline at event time.
-        let normalize = |i: usize, _p: &ParamPoint, o: &Outcome| -> Option<(Cycles, f64)> {
-            let baseline = &baseline_outcomes[baseline_at[i]].result;
+        let normalize = |i: usize, o: &Outcome| -> Option<(Cycles, f64)> {
+            let baseline = &baselines[baseline_at[i]].result;
             Some((
                 baseline.execution_time,
                 o.result.normalized_against(baseline),
@@ -760,16 +790,16 @@ impl Sweep {
         let point_outcomes = run_phase(&space.points, &normalize);
         let points = space
             .points
-            .iter()
-            .zip(&point_outcomes)
+            .into_iter()
+            .zip(point_outcomes)
             .enumerate()
             .map(|(i, (p, o))| {
-                let baseline = &baseline_outcomes[baseline_at[i]].result;
+                let baseline = &baselines[baseline_at[i]].result;
                 PointResult {
-                    axes: p.axes.clone(),
+                    axes: p.axes,
                     normalized_time: o.result.normalized_against(baseline),
                     baseline_time: baseline.execution_time,
-                    result: o.result.clone(),
+                    result: o.result,
                     elapsed_seconds: o.elapsed_seconds,
                     cache_key: o.cache_key,
                     cached: o.cached,
@@ -787,14 +817,17 @@ impl Sweep {
 }
 
 /// Per-job normalization hook for `run_streaming`'s phases: yields the
-/// baseline (execution time, elapsed seconds) for compared points, `None`
+/// baseline (execution time, normalized time) for compared points, `None`
 /// for baseline jobs.
-type NormalizeFn<'a> = dyn Fn(usize, &ParamPoint, &Outcome) -> Option<(Cycles, f64)> + Sync + 'a;
+type NormalizeFn<'a> = dyn Fn(usize, &Outcome) -> Option<(Cycles, f64)> + Sync + 'a;
 
 /// What one job produced, however it was satisfied.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Outcome {
     result: SimResult,
+    /// `result.fingerprint()`: computed once by the worker that simulated
+    /// the job, or carried from the cache entry that served it.
+    fingerprint: u64,
     elapsed_seconds: f64,
     cache_key: CacheKey,
     cached: bool,
@@ -813,7 +846,10 @@ pub enum SweepEvent<'a> {
         cache_key: CacheKey,
         /// The simulation result.
         result: &'a SimResult,
-        /// Wall-clock seconds the job took (near zero when cached).
+        /// `result.fingerprint()`, computed once per simulated result or
+        /// carried from the cache entry that served it.
+        fingerprint: u64,
+        /// Wall-clock seconds the job took (the lookup time when cached).
         elapsed_seconds: f64,
         /// `true` if the result came from the cache lookup, not a run.
         cached: bool,
@@ -829,11 +865,14 @@ pub enum SweepEvent<'a> {
         cache_key: CacheKey,
         /// The simulation result.
         result: &'a SimResult,
+        /// `result.fingerprint()`, computed once per simulated result or
+        /// carried from the cache entry that served it.
+        fingerprint: u64,
         /// Execution time of the matching baseline job.
         baseline_time: Cycles,
         /// `result.execution_time / baseline_time`.
         normalized_time: f64,
-        /// Wall-clock seconds the job took (near zero when cached).
+        /// Wall-clock seconds the job took (the lookup time when cached).
         elapsed_seconds: f64,
         /// `true` if the result came from the cache lookup, not a run.
         cached: bool,
@@ -853,6 +892,7 @@ impl<'a> SweepEvent<'a> {
                 point,
                 cache_key: outcome.cache_key,
                 result: &outcome.result,
+                fingerprint: outcome.fingerprint,
                 elapsed_seconds: outcome.elapsed_seconds,
                 cached: outcome.cached,
             },
@@ -861,6 +901,7 @@ impl<'a> SweepEvent<'a> {
                 point,
                 cache_key: outcome.cache_key,
                 result: &outcome.result,
+                fingerprint: outcome.fingerprint,
                 baseline_time,
                 normalized_time,
                 elapsed_seconds: outcome.elapsed_seconds,
@@ -882,6 +923,15 @@ impl<'a> SweepEvent<'a> {
     pub fn result(&self) -> &'a SimResult {
         match self {
             SweepEvent::Baseline { result, .. } | SweepEvent::Point { result, .. } => result,
+        }
+    }
+
+    /// The completed job's [`SimResult::fingerprint`].
+    pub fn fingerprint(&self) -> u64 {
+        match self {
+            SweepEvent::Baseline { fingerprint, .. } | SweepEvent::Point { fingerprint, .. } => {
+                *fingerprint
+            }
         }
     }
 
@@ -1342,6 +1392,159 @@ mod tests {
         assert_eq!(bytes, m.network_bytes);
         assert!(m.get(Metric::BytesPerAccess) > 0.0);
         assert!(m.get(Metric::NetworkMessages) > 0.0);
+    }
+
+    /// Two baselines (ocean, lu) and four points (two systems each) on a
+    /// 2x2 machine at 1/32 of the Table 2 data sets.
+    fn tiny_sweep() -> Sweep {
+        Sweep::new("tiny")
+            .cluster_nodes([2])
+            .procs_per_node([2])
+            .system(System::cc_numa().build())
+            .system(
+                System::cc_numa()
+                    .with(MigRep::both())
+                    .with(small_thresholds())
+                    .build(),
+            )
+            .workloads(["ocean", "lu"])
+            .scale(ExperimentScale::Custom(splash_workloads::CustomScale::new(
+                1, 32,
+            )))
+            .threads(2)
+    }
+
+    /// What one event said: (is a point, index, cached, fingerprint, on the
+    /// calling thread).
+    type Seen = (bool, usize, bool, u64, bool);
+
+    /// Run `tiny_sweep` against a lookup that serves the cold result of
+    /// every job `serve` accepts as `(is a point, index)`.  Returns the
+    /// result, the number of lookups and every event in arrival order.
+    fn rerun(
+        cold: &SweepResult,
+        serve: impl Fn(bool, usize) -> bool,
+    ) -> (SweepResult, usize, Vec<Seen>) {
+        let mut stored = std::collections::BTreeMap::new();
+        for (i, b) in cold.baselines.iter().enumerate() {
+            if serve(false, i) {
+                stored.insert(b.cache_key, (b.result.clone(), b.result.fingerprint()));
+            }
+        }
+        for (i, p) in cold.points.iter().enumerate() {
+            if serve(true, i) {
+                stored.insert(p.cache_key, (p.result.clone(), p.result.fingerprint()));
+            }
+        }
+        let caller = std::thread::current().id();
+        let mut lookups = 0;
+        let mut seen = Vec::new();
+        let result = tiny_sweep().run_streaming(
+            |_, key| {
+                lookups += 1;
+                stored.get(&key).cloned()
+            },
+            |e| {
+                let (point, index) = match e {
+                    SweepEvent::Baseline { index, .. } => (false, index),
+                    SweepEvent::Point { index, .. } => (true, index),
+                };
+                let here = std::thread::current().id() == caller;
+                seen.push((point, index, e.cached(), e.fingerprint(), here));
+            },
+        );
+        (result, lookups, seen)
+    }
+
+    fn assert_same_results(cold: &SweepResult, warm: &SweepResult) {
+        for (c, w) in cold.baselines.iter().zip(&warm.baselines) {
+            assert_eq!((c.cache_key, &c.result), (w.cache_key, &w.result));
+        }
+        for (c, w) in cold.points.iter().zip(&warm.points) {
+            assert_eq!((c.cache_key, &c.result), (w.cache_key, &w.result));
+            assert_eq!(c.normalized_time, w.normalized_time);
+        }
+    }
+
+    fn cold_fingerprint(cold: &SweepResult, point: bool, index: usize) -> u64 {
+        if point {
+            cold.points[index].result.fingerprint()
+        } else {
+            cold.baselines[index].result.fingerprint()
+        }
+    }
+
+    #[test]
+    fn cached_jobs_are_answered_on_the_calling_thread_in_index_order() {
+        let cold = tiny_sweep().run();
+        assert_eq!((cold.baselines.len(), cold.points.len()), (2, 4));
+        let (warm, lookups, seen) = rerun(&cold, |_, _| true);
+        assert_eq!(lookups, 6, "exactly one lookup per job");
+        let order: Vec<(bool, usize)> = seen.iter().map(|s| (s.0, s.1)).collect();
+        assert_eq!(
+            order,
+            [
+                (false, 0),
+                (false, 1),
+                (true, 0),
+                (true, 1),
+                (true, 2),
+                (true, 3)
+            ],
+            "baselines, then points, each in index order"
+        );
+        for &(point, index, cached, fingerprint, here) in &seen {
+            assert!(cached, "{point} {index}");
+            assert!(here, "event {point} {index} emitted off the calling thread");
+            assert_eq!(fingerprint, cold_fingerprint(&cold, point, index));
+        }
+        assert!(warm.baselines.iter().all(|b| b.cached));
+        assert!(warm.points.iter().all(|p| p.cached));
+        assert_same_results(&cold, &warm);
+    }
+
+    #[test]
+    fn half_cached_phases_emit_their_hits_before_their_misses() {
+        let cold = tiny_sweep().run();
+        // Serve baseline 1 and points 0 and 3; baseline 0 and points 1
+        // and 2 simulate.
+        let served = |point: bool, index: usize| {
+            if point {
+                index == 0 || index == 3
+            } else {
+                index == 1
+            }
+        };
+        let (warm, lookups, seen) = rerun(&cold, served);
+        assert_eq!(lookups, 6, "exactly one lookup per job");
+        assert_eq!(seen.len(), 6);
+        let (baselines, points) = seen.split_at(2);
+        assert!(baselines.iter().all(|s| !s.0) && points.iter().all(|s| s.0));
+        for phase in [baselines, points] {
+            let hits: Vec<usize> = phase.iter().take_while(|s| s.2).map(|s| s.1).collect();
+            let misses = &phase[hits.len()..];
+            assert!(misses.iter().all(|s| !s.2), "a hit after a miss: {phase:?}");
+            assert!(
+                hits.windows(2).all(|w| w[0] < w[1]),
+                "hits out of order: {phase:?}"
+            );
+        }
+        assert_eq!(
+            seen.iter()
+                .filter(|s| s.2)
+                .map(|s| (s.0, s.1))
+                .collect::<Vec<_>>(),
+            [(false, 1), (true, 0), (true, 3)]
+        );
+        for &(point, index, cached, fingerprint, here) in &seen {
+            assert_eq!(cached, served(point, index));
+            assert_eq!(
+                here, cached,
+                "hits on the calling thread, misses on workers"
+            );
+            assert_eq!(fingerprint, cold_fingerprint(&cold, point, index));
+        }
+        assert_same_results(&cold, &warm);
     }
 
     #[test]

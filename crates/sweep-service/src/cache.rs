@@ -23,6 +23,8 @@
 //! does not match its stored fingerprint (truncated write, hand edit,
 //! format drift) is dropped, never served.  A file with an unknown header
 //! is left untouched and the cache starts empty against a fresh path.
+//! Each entry keeps its verified fingerprint in memory, so a hit hands it
+//! out without recomputing it.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -43,11 +45,21 @@ pub struct ResultCache {
     // Ordered map: cache contents feed service responses, and an ordered
     // container keeps every observable path free of iteration-order
     // nondeterminism (the same policy the sim crates follow).
-    entries: BTreeMap<CacheKey, SimResult>,
+    entries: BTreeMap<CacheKey, Entry>,
     path: Option<PathBuf>,
     file: Option<File>,
     hits: u64,
     misses: u64,
+}
+
+/// One stored result with its fingerprint, which always equals
+/// `result.fingerprint()`: verified against the file on load, and computed
+/// from the result (or handed over by the engine that computed it) on
+/// insert.
+#[derive(Debug)]
+struct Entry {
+    result: SimResult,
+    fingerprint: u64,
 }
 
 /// A point-in-time view of the cache counters (the `cache-stats` response).
@@ -102,10 +114,16 @@ impl ResultCache {
 
     /// Look up `key`, counting the hit or miss.
     pub fn lookup(&mut self, key: CacheKey) -> Option<SimResult> {
+        self.lookup_with_fingerprint(key).map(|(result, _)| result)
+    }
+
+    /// [`ResultCache::lookup`], also returning the stored result's
+    /// [`SimResult::fingerprint`].
+    pub(crate) fn lookup_with_fingerprint(&mut self, key: CacheKey) -> Option<(SimResult, u64)> {
         match self.entries.get(&key) {
-            Some(r) => {
+            Some(e) => {
                 self.hits += 1;
-                Some(r.clone())
+                Some((e.result.clone(), e.fingerprint))
             }
             None => {
                 self.misses += 1;
@@ -123,6 +141,19 @@ impl ResultCache {
     /// already present is left as-is (equal keys mean equal results, so
     /// re-writing would only duplicate the file line).
     pub fn insert(&mut self, key: CacheKey, result: &SimResult) {
+        self.insert_with_fingerprint(key, result, result.fingerprint());
+    }
+
+    /// [`ResultCache::insert`] for a caller that already holds
+    /// `result.fingerprint()` (the sweep engine computes it once per
+    /// simulated job).
+    pub(crate) fn insert_with_fingerprint(
+        &mut self,
+        key: CacheKey,
+        result: &SimResult,
+        fingerprint: u64,
+    ) {
+        debug_assert_eq!(fingerprint, result.fingerprint(), "foreign fingerprint");
         if self.entries.contains_key(&key) {
             return;
         }
@@ -130,9 +161,15 @@ impl ResultCache {
             // An append failure (disk full, file deleted) degrades to
             // in-memory caching for this entry; the in-memory copy still
             // serves this process.
-            let _ = writeln!(file, "{}", encode_entry(key, result));
+            let _ = writeln!(file, "{}", encode_entry(key, result, fingerprint));
         }
-        self.entries.insert(key, result.clone());
+        self.entries.insert(
+            key,
+            Entry {
+                result: result.clone(),
+                fingerprint,
+            },
+        );
     }
 
     /// Distinct results held.
@@ -156,10 +193,7 @@ impl ResultCache {
     }
 }
 
-fn load_entries(
-    reader: impl BufRead,
-    entries: &mut BTreeMap<CacheKey, SimResult>,
-) -> io::Result<()> {
+fn load_entries(reader: impl BufRead, entries: &mut BTreeMap<CacheKey, Entry>) -> io::Result<()> {
     let mut lines = reader.lines();
     match lines.next() {
         // Unknown header: a different format (or not a cache file at all).
@@ -180,8 +214,8 @@ fn load_entries(
         if line.trim().is_empty() || line.starts_with('#') {
             continue;
         }
-        if let Some((key, result)) = decode_entry(&line) {
-            entries.insert(key, result);
+        if let Some((key, entry)) = decode_entry(&line) {
+            entries.insert(key, entry);
         }
         // A line that fails to decode or verify is dropped silently: the
         // cache is a pure accelerator, and the worst case of dropping is
@@ -190,11 +224,11 @@ fn load_entries(
     Ok(())
 }
 
-fn encode_entry(key: CacheKey, r: &SimResult) -> String {
+fn encode_entry(key: CacheKey, r: &SimResult, fingerprint: u64) -> String {
     let mut out = format!(
         "{} {:016x} {} {} {} {} {} {}",
         key.to_hex(),
-        r.fingerprint(),
+        fingerprint,
         escape_field(&r.system),
         escape_field(&r.workload),
         r.execution_time.raw(),
@@ -219,7 +253,7 @@ fn encode_entry(key: CacheKey, r: &SimResult) -> String {
     out
 }
 
-fn decode_entry(line: &str) -> Option<(CacheKey, SimResult)> {
+fn decode_entry(line: &str) -> Option<(CacheKey, Entry)> {
     let mut fields = line.split_ascii_whitespace();
     let key = CacheKey::from_hex(fields.next()?)?;
     let fingerprint = u64::from_str_radix(fields.next()?, 16).ok()?;
@@ -280,7 +314,13 @@ fn decode_entry(line: &str) -> Option<(CacheKey, SimResult)> {
     if result.fingerprint() != fingerprint {
         return None;
     }
-    Some((key, result))
+    Some((
+        key,
+        Entry {
+            result,
+            fingerprint,
+        },
+    ))
 }
 
 /// The 14 `NodeStats` counters in [`SimResult::fingerprint`] order.
@@ -346,7 +386,7 @@ fn unescape_field(s: &str) -> Option<String> {
 pub fn read_cache_file(path: &Path) -> io::Result<BTreeMap<CacheKey, SimResult>> {
     let mut entries = BTreeMap::new();
     load_entries(BufReader::new(File::open(path)?), &mut entries)?;
-    Ok(entries)
+    Ok(entries.into_iter().map(|(k, e)| (k, e.result)).collect())
 }
 
 #[cfg(test)]
@@ -384,17 +424,17 @@ mod tests {
     #[test]
     fn entries_round_trip_through_the_line_format() {
         let r = sample_result(42);
-        let line = encode_entry(key(1), &r);
+        let line = encode_entry(key(1), &r, r.fingerprint());
         let (k, decoded) = decode_entry(&line).expect("decodes");
         assert_eq!(k, key(1));
-        assert_eq!(decoded, r, "decoded result is bit-identical");
-        assert_eq!(decoded.fingerprint(), r.fingerprint());
+        assert_eq!(decoded.result, r, "decoded result is bit-identical");
+        assert_eq!(decoded.fingerprint, r.fingerprint());
     }
 
     #[test]
     fn corrupt_lines_are_rejected() {
         let r = sample_result(7);
-        let line = encode_entry(key(2), &r);
+        let line = encode_entry(key(2), &r, r.fingerprint());
         // Truncation, trailing garbage, and a flipped counter (fingerprint
         // mismatch) must all fail closed.
         assert!(decode_entry(&line[..line.len() - 4]).is_none());

@@ -21,8 +21,9 @@ options:
                   requests from stdin to stdout)
   --cache FILE    persist the result cache to FILE; results survive
                   restarts and are shared by every client of the file
-  --threads N     default simulation worker threads per request (requests
-                  may override with their own \"threads\" field)
+  --threads N     simulation worker threads per request (default: one per
+                  core); a request's own \"threads\" field may ask for
+                  fewer, never more
   --connect PATH  client mode: send one request to the server listening at
                   PATH and print its response lines
   --request JSON  the request line to send in client mode (default:
@@ -36,7 +37,8 @@ pub struct ServeOptions {
     pub socket: Option<PathBuf>,
     /// Persist the cache to this file.
     pub cache: Option<PathBuf>,
-    /// Default worker threads (`0` = the engine's per-core default).
+    /// Worker threads per request, and the most a request may ask for
+    /// (`0` = one per core).
     pub threads: usize,
     /// Client mode: connect to the server at this socket.
     pub connect: Option<PathBuf>,

@@ -3,11 +3,14 @@
 //! The offline build environment resolves `serde` to a no-op derive shim
 //! (see `crates/shims/README.md`), so the wire format is handled by hand:
 //! this module parses one request line into a [`Value`] tree, and responses
-//! are rendered with `format!` plus [`escape`].  The subset implemented is
+//! are rendered with `format!` plus [`escape`] (or, for the per-job event
+//! lines, `write!` plus [`escape_into`] into one buffer).  The subset implemented is
 //! full JSON minus niceties nobody sends over this protocol: numbers are
 //! kept as `f64` (every size/count the protocol carries fits in the 53-bit
 //! mantissa), and `\uXXXX` escapes outside the basic multilingual plane
 //! must arrive as surrogate pairs.
+
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -135,6 +138,12 @@ impl Value {
 /// Escape a string for embedding in a JSON string literal.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+/// [`escape`], appending to `out` instead of allocating.
+pub fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -142,11 +151,13 @@ pub fn escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            // Writing into a String cannot fail.
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
 }
 
 /// Parse one JSON document.  Trailing non-whitespace is an error (the

@@ -26,8 +26,9 @@
 //!
 //! Re-submitting the same request — to the same server or to a restarted
 //! one sharing the cache file — answers every point from the cache
-//! (`"cached":true`, `"simulated":0`) with identical fingerprints.  See
-//! the repository README ("Sweep service") for the protocol reference.
+//! (`"cached":true`, `"simulated":0`) with identical fingerprints, on the
+//! request thread and in index order, without starting a worker thread.
+//! See the repository README ("Sweep service") for the protocol reference.
 
 pub mod cache;
 pub mod catalog;

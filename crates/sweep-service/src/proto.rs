@@ -10,8 +10,10 @@
 //!
 //! See the repository README ("Sweep service") for the full field tables.
 
+use std::fmt::Write as _;
+
 use crate::cache::CacheStats;
-use crate::json::{escape, parse, Value};
+use crate::json::{escape, escape_into, parse, Value};
 use dsm_bench::SweepEvent;
 
 /// A parsed, not-yet-resolved request.  Name-shaped fields (systems, costs,
@@ -87,8 +89,9 @@ pub struct SweepSpec {
     pub costs: Vec<String>,
     /// R-NUMA relocation-delay axis.
     pub relocation_delays: Vec<u64>,
-    /// Worker threads (default: the server's configured count).
-    pub threads: Option<usize>,
+    /// Worker threads as requested (default and ceiling: the server's
+    /// thread budget).
+    pub threads: Option<u64>,
 }
 
 impl Request {
@@ -165,7 +168,7 @@ impl SweepSpec {
             block_bytes: v.get_u64_list("block_bytes")?.unwrap_or_default(),
             costs: v.get_str_list("costs")?.unwrap_or_default(),
             relocation_delays: v.get_u64_list("relocation_delays")?.unwrap_or_default(),
-            threads: v.get_u64("threads").map(|n| n as usize),
+            threads: v.get_u64("threads"),
         })
     }
 }
@@ -184,7 +187,9 @@ pub fn ok_line(id: &str) -> String {
     format!(r#"{{"kind":"ok","id":"{}"}}"#, escape(id))
 }
 
-/// Render one streamed job completion (`baseline` or `point`).
+/// Render one streamed job completion (`baseline` or `point`), written
+/// into one buffer: a fully cached request renders one line per job, so
+/// the line is the bulk of its work.
 pub fn event_line(id: &str, event: &SweepEvent<'_>) -> String {
     let (kind, index, point, normalized, elapsed) = match event {
         SweepEvent::Baseline {
@@ -209,38 +214,42 @@ pub fn event_line(id: &str, event: &SweepEvent<'_>) -> String {
     };
     let result = event.result();
     let a = &point.axes;
-    let normalized = normalized
-        .map(|n| format!("{n:.6}"))
-        .unwrap_or_else(|| "null".to_string());
-    format!(
-        concat!(
-            r#"{{"kind":"{kind}","id":"{id}","index":{index},"cached":{cached},"#,
-            r#""cache_key":"{key}","fingerprint":"{fp:#018x}","#,
-            r#""workload":"{workload}","system":"{system}","#,
-            r#""nodes":{nodes},"procs_per_node":{ppn},"page_bytes":{page},"#,
-            r#""block_bytes":{block},"cost":"{cost}","scale":"{scale}","#,
-            r#""normalized_time":{normalized},"execution_time":{exec},"#,
-            r#""accesses":{accesses},"elapsed_seconds":{elapsed:.6}}}"#
-        ),
-        kind = kind,
-        id = escape(id),
-        index = index,
-        cached = event.cached(),
-        key = event.cache_key(),
-        fp = result.fingerprint(),
-        workload = escape(&a.workload),
-        system = escape(&a.system),
-        nodes = a.nodes,
-        ppn = a.procs_per_node,
-        page = a.page_bytes,
-        block = a.block_bytes,
-        cost = escape(&a.cost),
-        scale = escape(&a.scale),
-        normalized = normalized,
-        exec = result.execution_time.raw(),
-        accesses = result.accesses,
-        elapsed = elapsed,
-    )
+    let mut out = String::with_capacity(512);
+    // Writing into a String cannot fail, so the fmt::Results are dropped.
+    let _ = write!(out, r#"{{"kind":"{kind}","id":""#);
+    escape_into(&mut out, id);
+    let _ = write!(
+        out,
+        r#"","index":{index},"cached":{},"cache_key":"{}","fingerprint":"{:#018x}","workload":""#,
+        event.cached(),
+        event.cache_key(),
+        event.fingerprint(),
+    );
+    escape_into(&mut out, &a.workload);
+    out.push_str(r#"","system":""#);
+    escape_into(&mut out, &a.system);
+    let _ = write!(
+        out,
+        r#"","nodes":{},"procs_per_node":{},"page_bytes":{},"block_bytes":{},"cost":""#,
+        a.nodes, a.procs_per_node, a.page_bytes, a.block_bytes,
+    );
+    escape_into(&mut out, &a.cost);
+    out.push_str(r#"","scale":""#);
+    escape_into(&mut out, &a.scale);
+    out.push_str(r#"","normalized_time":"#);
+    match normalized {
+        Some(n) => {
+            let _ = write!(out, "{n:.6}");
+        }
+        None => out.push_str("null"),
+    }
+    let _ = write!(
+        out,
+        r#","execution_time":{},"accesses":{},"elapsed_seconds":{elapsed:.6}}}"#,
+        result.execution_time.raw(),
+        result.accesses,
+    );
+    out
 }
 
 /// Per-request job accounting for the terminal `sweep-done` object.

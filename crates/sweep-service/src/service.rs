@@ -4,11 +4,12 @@
 //! [`SweepService`] owns the [`ResultCache`] and handles one request at a
 //! time, emitting response lines through a caller-supplied sink (stdout,
 //! a Unix-socket stream, or a test buffer).  Sweeps run on
-//! [`Sweep::run_streaming`]: each job first consults the cache by its
-//! content address, each completed job is emitted to the client the moment
-//! it finishes, and every freshly simulated result is inserted back into
-//! the cache (and its backing file) before the next client could ask for
-//! it.
+//! [`Sweep::run_streaming`]: each job consults the cache once by its
+//! content address, on the request thread, and a hit is emitted right
+//! there; only the misses reach worker threads.  Each simulated job is
+//! emitted to the client the moment it finishes, and its result is
+//! inserted back into the cache (and its backing file) before the next
+//! client could ask for it.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -21,6 +22,7 @@ use crate::proto::{
 };
 use dsm_bench::perf::{collect_trend, format_trend};
 use dsm_bench::report::{format_sweep_points, format_sweep_table, sweep_to_csv};
+use dsm_bench::runner::default_threads;
 use dsm_bench::{ExperimentScale, Sweep, SweepEvent, SweepResult};
 
 /// What the connection loop should do after a request.
@@ -36,14 +38,14 @@ pub enum Action {
 #[derive(Debug)]
 pub struct SweepService {
     cache: Mutex<ResultCache>,
-    /// Worker threads for requests that don't choose (`0` = the engine's
-    /// default, one per core).
+    /// Worker threads for requests that don't choose, and the most any
+    /// request may use (`0` = one per core).
     threads: usize,
 }
 
 impl SweepService {
-    /// A service over an existing cache.  `threads` = 0 leaves the sweep
-    /// engine's per-core default in place.
+    /// A service over an existing cache.  `threads` is each request's
+    /// worker-thread budget; 0 means one per core.
     pub fn new(cache: ResultCache, threads: usize) -> Self {
         SweepService {
             cache: Mutex::new(cache),
@@ -126,11 +128,11 @@ impl SweepService {
             }
             Request::Trend { id, dir } => {
                 match collect_trend(std::path::Path::new(&dir)) {
-                    Ok(entries) => emit(trend_line(
+                    Ok(trend) => emit(trend_line(
                         &id,
                         &dir,
-                        entries.len(),
-                        &format_trend(&entries),
+                        trend.entries.len(),
+                        &format_trend(&trend),
                     )),
                     Err(e) => emit(error_line(&id, &format!("cannot scan `{dir}`: {e}"))),
                 }
@@ -160,10 +162,14 @@ impl SweepService {
         let start = Instant::now(); // dsm-lint: allow(det-taint, request latency reporting to the client; sim results and fingerprints never derive from it)
         let mut counts = SweepCounts::default();
         let result = sweep.run_streaming(
-            |_, key| self.cache().lookup(key),
+            |_, key| self.cache().lookup_with_fingerprint(key),
             |event| {
                 if !event.cached() {
-                    self.cache().insert(event.cache_key(), event.result());
+                    self.cache().insert_with_fingerprint(
+                        event.cache_key(),
+                        event.result(),
+                        event.fingerprint(),
+                    );
                 }
                 match event {
                     SweepEvent::Baseline { .. } => counts.baselines += 1,
@@ -239,13 +245,23 @@ impl SweepService {
         if !spec.relocation_delays.is_empty() {
             sweep = sweep.relocation_delays(spec.relocation_delays.iter().copied());
         }
-        match spec.threads {
-            Some(t) => sweep = sweep.threads(t),
-            None if self.threads > 0 => sweep = sweep.threads(self.threads),
-            None => {}
-        }
-        Ok(sweep)
+        let budget = if self.threads > 0 {
+            self.threads
+        } else {
+            default_threads()
+        };
+        Ok(sweep.threads(request_threads(spec.threads, budget)))
     }
+}
+
+/// The worker threads a request runs with: its own `"threads"`, clamped to
+/// `1..=budget`, or the whole budget when it names none.  The budget is the
+/// server's `--threads`, else one per core, so no request can make a sweep
+/// phase start more threads than the server was given.
+fn request_threads(requested: Option<u64>, budget: usize) -> usize {
+    requested.map_or(budget, |t| {
+        usize::try_from(t).unwrap_or(usize::MAX).clamp(1, budget)
+    })
 }
 
 #[cfg(test)]
@@ -312,6 +328,17 @@ mod tests {
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.hits, 2);
         assert_eq!(stats.misses, 2);
+    }
+
+    #[test]
+    fn request_threads_are_clamped_to_the_server_budget() {
+        assert_eq!(request_threads(Some(u64::MAX), 4), 4);
+        assert_eq!(request_threads(Some(5), 4), 4);
+        assert_eq!(request_threads(Some(3), 4), 3);
+        assert_eq!(request_threads(Some(1), 4), 1);
+        assert_eq!(request_threads(Some(0), 4), 1);
+        assert_eq!(request_threads(None, 4), 4);
+        assert_eq!(request_threads(Some(u64::MAX), 1), 1);
     }
 
     #[test]
