@@ -270,7 +270,7 @@ impl Options {
         let name = &self.workloads[0];
         let workload = splash_workloads::by_name(name).expect("workloads are validated by parse");
         let cfg = splash_workloads::WorkloadConfig::at_scale(self.scale.workload_scale());
-        let mut stream = splash_workloads::stream(workload, cfg);
+        let mut stream = splash_workloads::fused(workload.as_ref(), &cfg);
         if let Err(e) = mem_trace::record_to_file(&mut stream, path) {
             eprintln!("error: recording {name} to {}: {e}", path.display());
             std::process::exit(2);

@@ -20,13 +20,12 @@
 //!
 //! Named workloads are **streamed**: every (workload, system) job
 //! instantiates a fresh deterministic [`mem_trace::TraceSource`] consumed
-//! as the simulation advances — the generator runs *inside* the
-//! simulator's pull loop when the worker threads saturate the cores
-//! (fused; no thread, no channel), or on its own thread when spare cores
-//! can overlap generation with simulation (see
-//! [`crate::sweep::SourceMode`]).  Either way peak memory is bounded by
-//! the demultiplexing window — not by the trace size, and not by how many
-//! workloads the experiment covers.
+//! as the simulation advances — the workload's per-processor generator
+//! runs *inside* the simulator's pull loop
+//! ([`splash_workloads::fused`]), producing each processor's events when
+//! that processor is pulled.  Peak memory is one small staged slice per
+//! processor — not the trace size, and not how many workloads the
+//! experiment covers.
 //!
 //! Custom traces (instead of named Table 2 workloads) are supplied with
 //! [`Experiment::traces`], which makes the harness usable for ad-hoc
@@ -325,7 +324,7 @@ mod tests {
         use mem_trace::record_to_file;
         let cfg = WorkloadConfig::reduced();
         let path = std::env::temp_dir().join("dsm-repro-experiment-replay.trc");
-        let mut stream = splash_workloads::stream(by_name("ocean").unwrap(), cfg);
+        let mut stream = splash_workloads::fused(by_name("ocean").unwrap().as_ref(), &cfg);
         record_to_file(&mut stream, &path).unwrap();
 
         let set = || SystemSet {

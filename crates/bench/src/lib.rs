@@ -47,6 +47,6 @@ pub use report::{
 };
 pub use runner::{ExperimentResult, WorkloadResult};
 pub use sweep::{
-    Axis, AxisValues, BaselinePoint, Metric, MetricSet, ParamPoint, ParamSpace, PointResult,
-    SourceMode, Sweep, SweepEvent, SweepResult,
+    Axis, AxisValues, BaselinePoint, Metric, MetricSet, ParamPoint, ParamSpace, PointResult, Sweep,
+    SweepEvent, SweepResult,
 };

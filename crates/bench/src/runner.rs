@@ -77,7 +77,7 @@ pub fn default_threads() -> usize {
 /// The processor count `std::thread::available_parallelism` reports, read
 /// once per process: on Linux each call reads cgroup files, and a sweep
 /// service builds a `Sweep` per request.
-pub(crate) fn available_cores() -> Option<usize> {
+fn available_cores() -> Option<usize> {
     static CORES: OnceLock<Option<usize>> = OnceLock::new();
     *CORES.get_or_init(|| {
         std::thread::available_parallelism()

@@ -9,11 +9,10 @@
 //! ([`Sweep::scales`] — reduced, paper, and custom multiples of the Table 2
 //! data sets) and workload axes compose into a cartesian [`ParamSpace`] of
 //! jobs.  Each job materializes its own [`MachineConfig`] and streams its
-//! own deterministic trace — fused into the simulator's pull loop when the
-//! workers saturate the cores, through a generator thread when spare cores
-//! can overlap generation ([`SourceMode`]) — so a sweep point is exactly
-//! the simulation a standalone [`ClusterSimulator`] run of that
-//! configuration would be; the single-machine
+//! own deterministic trace, generated inside the simulator's pull loop
+//! ([`splash_workloads::fused`]) — so a sweep point is exactly the
+//! simulation a standalone [`ClusterSimulator`] run of that configuration
+//! would be; the single-machine
 //! [`Experiment`](crate::Experiment) builder is now a thin one-point sweep
 //! over this engine.
 //!
@@ -46,13 +45,14 @@
 //! model and workload — the paper's normalization discipline, held pointwise
 //! across the grid.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use crate::cache_key::{point_key, CacheKey};
 use crate::presets::{ExperimentScale, SystemSet};
-use crate::runner::{available_cores, default_threads};
+use crate::runner::default_threads;
 use dsm_core::{ClusterSimulator, CostModel, MachineConfig, SimResult, SystemConfig, Thresholds};
 use dsm_protocol::MsgKind;
 use mem_trace::{Geometry, ProgramTrace, ReplaySource, Topology, TraceSource};
@@ -237,33 +237,6 @@ impl ParamSpace {
     }
 }
 
-/// How a sweep job's named workloads are streamed into the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SourceMode {
-    /// Decide per run: fused when the worker threads already saturate the
-    /// machine's cores (every core runs a simulation, so a generator
-    /// thread would only contend), threaded when spare cores can overlap
-    /// generation with simulation.  Either choice is bit-identical in
-    /// results.
-    #[default]
-    Auto,
-    /// Always run the generator inside the simulator's pull loop.
-    Fused,
-    /// Always run the generator on its own thread behind a channel.
-    Threaded,
-}
-
-impl SourceMode {
-    /// Resolve `Auto` against the worker-thread count actually running.
-    fn use_fused(self, worker_threads: usize) -> bool {
-        match self {
-            SourceMode::Fused => true,
-            SourceMode::Threaded => false,
-            SourceMode::Auto => worker_threads >= available_cores().unwrap_or(1),
-        }
-    }
-}
-
 /// Builder for a parameter-space sweep.  See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct Sweep {
@@ -280,7 +253,6 @@ pub struct Sweep {
     baseline: SystemConfig,
     workloads: Vec<WorkloadSpec>,
     scales: Vec<ExperimentScale>,
-    source_mode: SourceMode,
     threads: usize,
 }
 
@@ -306,7 +278,6 @@ impl Sweep {
                 .map(|n| WorkloadSpec::Named(n.to_string()))
                 .collect(),
             scales: vec![ExperimentScale::Reduced],
-            source_mode: SourceMode::Auto,
             threads: default_threads(),
         }
     }
@@ -437,12 +408,6 @@ impl Sweep {
             !self.scales.is_empty(),
             "Sweep::scales needs at least one scale"
         );
-        self
-    }
-
-    /// How named workloads are streamed (default [`SourceMode::Auto`]).
-    pub fn source_mode(mut self, mode: SourceMode) -> Self {
-        self.source_mode = mode;
         self
     }
 
@@ -603,7 +568,10 @@ impl Sweep {
     /// result's fingerprint is computed once, by the worker that ran it.
     /// The points are looked up only after every baseline ran, so a point
     /// whose key equals a baseline's can be served the result the caller
-    /// stored from that baseline's event.
+    /// stored from that baseline's event.  Within a phase, each distinct key
+    /// is simulated once: a job whose key equals an earlier miss of the same
+    /// phase is not looked up, and is emitted as a cached event right after
+    /// that miss, by the worker that simulated it.
     ///
     /// Cache lookups apply only to *named* workloads: pre-built traces and
     /// replay files contribute trace content the key does not capture, so
@@ -619,9 +587,8 @@ impl Sweep {
         let mut space = self.space();
         let workloads = &self.workloads;
         let threads = self.threads.max(1);
-        let source_mode = self.source_mode;
 
-        let simulate = |point: &ParamPoint, cache_key: CacheKey, fused: bool| -> Outcome {
+        let simulate = |point: &ParamPoint, cache_key: CacheKey| -> Outcome {
             // dsm-lint: allow(wall-clock, per-job elapsed_seconds is harness reporting; simulated time comes from the cost model)
             let start = std::time::Instant::now(); // dsm-lint: allow(det-taint, elapsed_seconds is harness telemetry on the outcome envelope; SimResult and its fingerprint are computed only from simulation state)
             let sim = ClusterSimulator::new(point.machine, point.system.clone());
@@ -632,11 +599,7 @@ impl Sweep {
                         by_name(name).unwrap_or_else(|| panic!("unknown workload {name}"));
                     let cfg = WorkloadConfig::at_scale(point.scale.workload_scale())
                         .with_topology(point.machine.topology);
-                    if fused {
-                        sim.run_source(&mut splash_workloads::fused(workload.as_ref(), &cfg))
-                    } else {
-                        sim.run_source(&mut splash_workloads::stream_threaded(workload, cfg))
-                    }
+                    sim.run_source(&mut splash_workloads::fused(workload.as_ref(), &cfg))
                 }
                 WorkloadSpec::Trace(trace) => sim.run(trace),
                 WorkloadSpec::Replay(path) => {
@@ -662,14 +625,22 @@ impl Sweep {
         let mut sink = Mutex::new(on_event);
         let mut run_phase = |jobs: &[ParamPoint], normalize: &NormalizeFn<'_>| -> Vec<Outcome> {
             let mut slots: Vec<Option<Outcome>> = Vec::with_capacity(jobs.len());
-            let mut misses: Vec<(usize, CacheKey)> = Vec::new();
+            // Each miss with the later jobs of the phase that share its key.
+            let mut misses: Vec<(usize, CacheKey, Vec<usize>)> = Vec::new();
+            let mut first_miss: BTreeMap<CacheKey, usize> = BTreeMap::new();
             // No worker has run yet in this phase, and a panic in an earlier
             // phase's worker re-raised out of its thread::scope, so the
             // poison recovery is vacuous.
             let on_event = sink.get_mut().unwrap_or_else(PoisonError::into_inner);
             for (i, point) in jobs.iter().enumerate() {
                 let cache_key = point.cache_key();
-                let hit = if matches!(&workloads[point.workload_index], WorkloadSpec::Named(_)) {
+                let named = matches!(&workloads[point.workload_index], WorkloadSpec::Named(_));
+                if let Some(&m) = named.then(|| first_miss.get(&cache_key)).flatten() {
+                    misses[m].2.push(i);
+                    slots.push(None);
+                    continue;
+                }
+                let hit = if named {
                     // dsm-lint: allow(wall-clock, a hit's elapsed_seconds is its measured lookup time, harness reporting only)
                     let start = std::time::Instant::now(); // dsm-lint: allow(det-taint, elapsed_seconds is harness telemetry on the outcome envelope; the cached SimResult and fingerprint come from the lookup)
                     lookup(point, cache_key).map(|(result, fingerprint)| Outcome {
@@ -688,48 +659,61 @@ impl Sweep {
                         slots.push(Some(outcome));
                     }
                     None => {
-                        misses.push((i, cache_key));
+                        if named {
+                            first_miss.insert(cache_key, misses.len());
+                        }
+                        misses.push((i, cache_key, Vec::new()));
                         slots.push(None);
                     }
                 }
             }
             if !misses.is_empty() {
                 let workers = threads.min(misses.len());
-                // Fused (generator inside the pull loop) when the workers
-                // saturate the cores; threaded (generator on its own thread)
-                // when spare cores can overlap generation with simulation.
-                // The results are bit-identical either way.
-                let fused = source_mode.use_fused(workers);
                 let (sink, table) = (&sink, Mutex::new(slots));
                 let next = AtomicUsize::new(0);
                 std::thread::scope(|scope| {
                     for _ in 0..workers {
                         scope.spawn(|| {
-                            while let Some(&(i, cache_key)) =
+                            while let Some((i, cache_key, copies)) =
                                 misses.get(next.fetch_add(1, Ordering::Relaxed))
                             {
-                                let outcome = simulate(&jobs[i], cache_key, fused);
-                                let normalization = normalize(i, &outcome);
+                                let outcome = simulate(&jobs[*i], *cache_key);
+                                // The copies are answered from the result
+                                // just simulated, as cached events after it.
+                                let copied = copies.iter().map(|&j| {
+                                    let copy = Outcome {
+                                        result: outcome.result.clone(),
+                                        elapsed_seconds: 0.0,
+                                        cached: true,
+                                        ..outcome
+                                    };
+                                    (j, copy)
+                                });
+                                let copied: Vec<(usize, Outcome)> = copied.collect();
+                                let done = std::iter::once((*i, outcome)).chain(copied);
                                 // A poisoned lock means a sibling worker
                                 // panicked mid-event or mid-store.  Stop
                                 // claiming jobs and return: thread::scope
                                 // re-raises the sibling's panic at the join,
                                 // which is the one we want to see — not a
                                 // second "poisoned" panic on top of it.
-                                {
-                                    let Ok(mut on_event) = sink.lock() else {
-                                        return;
-                                    };
-                                    (*on_event)(SweepEvent::new(
-                                        i,
-                                        &jobs[i],
-                                        &outcome,
-                                        normalization,
-                                    ));
-                                }
-                                match table.lock() {
-                                    Ok(mut table) => table[i] = Some(outcome),
-                                    Err(_) => return,
+                                for (j, outcome) in done {
+                                    let normalization = normalize(j, &outcome);
+                                    {
+                                        let Ok(mut on_event) = sink.lock() else {
+                                            return;
+                                        };
+                                        (*on_event)(SweepEvent::new(
+                                            j,
+                                            &jobs[j],
+                                            &outcome,
+                                            normalization,
+                                        ));
+                                    }
+                                    match table.lock() {
+                                        Ok(mut table) => table[j] = Some(outcome),
+                                        Err(_) => return,
+                                    }
                                 }
                             }
                         });
@@ -1334,25 +1318,6 @@ mod tests {
         assert_ne!(
             result.points[0].baseline_time,
             result.points[1].baseline_time
-        );
-    }
-
-    #[test]
-    fn explicit_source_modes_are_bit_identical() {
-        let run = |mode: SourceMode| {
-            Sweep::new("mode parity")
-                .system(System::cc_numa().build())
-                .workloads(["ocean"])
-                .source_mode(mode)
-                .threads(2)
-                .run()
-        };
-        let fused = run(SourceMode::Fused);
-        let threaded = run(SourceMode::Threaded);
-        assert_eq!(fused.points[0].result, threaded.points[0].result);
-        assert_eq!(
-            fused.baselines[0].result.fingerprint(),
-            threaded.baselines[0].result.fingerprint()
         );
     }
 

@@ -2,7 +2,7 @@
 //!
 //! Every result in this reproduction hangs on bit-exact determinism: the
 //! golden fingerprints pin the full workload x system matrix across
-//! fused, threaded, materialized and replayed sources.  These rules check the
+//! fused, materialized and replayed sources.  These rules check the
 //! source-level invariants that determinism rests on, so a violation fails
 //! CI at the commit that introduces it instead of surfacing as a golden
 //! mismatch three PRs later (or never, if no golden happens to cover it):

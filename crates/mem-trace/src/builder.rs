@@ -9,15 +9,11 @@
 //!
 //! * [`StepWriter`] is the sink-less core: it owns the emission state
 //!   (barrier numbering, per-processor event counts, think cycles) but
-//!   *borrows* the [`EventSink`] per call.  Resumable step-function
-//!   generators ([`crate::source::StepGenerator`]) hold a `StepWriter`
-//!   across steps while the fused pull loop hands them a fresh sink borrow
-//!   each time.
-//! * [`TraceWriter`] owns its sink — a set of in-memory vectors, a bounded
-//!   channel feeding a running simulation
-//!   ([`crate::source::ThreadedSource`]), or a trace file recorder.  This is
-//!   what the streaming trace pipeline is built on: the same generator code
-//!   produces the same event sequences no matter where they go.
+//!   *borrows* the [`EventSink`] per call, so a generator can hold it
+//!   across calls that each hand it a different sink.
+//! * [`TraceWriter`] owns its sink — a set of in-memory vectors, or any
+//!   other [`EventSink`]: the same generator code produces the same event
+//!   sequences no matter where they go.
 //! * [`TraceBuilder`] is the classic materializing front-end: a
 //!   `TraceWriter` over per-processor vectors plus [`TraceBuilder::build`]
 //!   returning a [`ProgramTrace`].
@@ -29,9 +25,8 @@ use crate::trace::ProgramTrace;
 /// Receives the events a workload generator emits, in program order.
 ///
 /// Implementations decide what "program order" becomes: `Vec<Vec<TraceEvent>>`
-/// materializes per-processor vectors, the channel sink behind
-/// [`crate::source::ThreadedSource`] forwards events to a consumer as they
-/// are produced, and the recorder in [`crate::replay`] writes them to disk.
+/// materializes per-processor vectors; other sinks can count, filter or
+/// forward events as they are produced.
 pub trait EventSink {
     /// Accept one event emitted by `proc`.
     fn event(&mut self, proc: ProcId, ev: TraceEvent);
@@ -39,10 +34,10 @@ pub trait EventSink {
     /// `proc` will emit nothing further (an explicit end-of-stream marker).
     ///
     /// Generators signal this as soon as a processor's stream is complete —
-    /// [`StepWriter::finish`] does it for every processor at once — so
-    /// demultiplexing consumers can answer "is this processor done?"
-    /// without buffering the rest of every other stream.  Sinks that do not
-    /// care (the materializing vectors) ignore it.
+    /// [`StepWriter::finish`] does it for every processor at once — so a
+    /// consumer that sees processors interleaved can answer "is this
+    /// processor done?" without waiting for the rest of every other stream.
+    /// Sinks that do not care (the materializing vectors) ignore it.
     fn end_of_stream(&mut self, proc: ProcId) {
         let _ = proc;
     }
@@ -69,12 +64,9 @@ impl<S: EventSink + ?Sized> EventSink for &mut S {
 /// counts and the implicit think-cycle delay, with the [`EventSink`]
 /// borrowed per call instead of owned.
 ///
-/// This is what makes generators *resumable*: a step-function generator
-/// keeps its `StepWriter` (and loop counters) across steps while each
-/// [`step`](crate::source::StepGenerator::step) call hands it whatever sink
-/// the pipeline is currently driving — the fused source's demultiplexer,
-/// a channel, or plain vectors.  [`TraceWriter`] wraps this core with an
-/// owned sink for straight-line generators.
+/// A generator can keep its `StepWriter` (and loop counters) across calls
+/// that each hand it whatever sink is current.  [`TraceWriter`] wraps this
+/// core with an owned sink for straight-line generators.
 #[derive(Debug, Clone)]
 pub struct StepWriter {
     topology: Topology,
@@ -179,10 +171,10 @@ impl StepWriter {
 /// Emits well-formed per-processor trace events into an owned [`EventSink`].
 ///
 /// This is the generator-facing half of [`TraceBuilder`], generic over where
-/// the events go so straight-line generator code can produce either a
-/// materialized [`ProgramTrace`] or a bounded-memory stream from the same
-/// code path.  (Resumable step-function generators use the underlying
-/// [`StepWriter`] directly, borrowing the sink per step.)
+/// the events go so straight-line generator code can produce a
+/// materialized [`ProgramTrace`] or feed any other sink from the same code
+/// path.  (Generators that borrow the sink per call use the underlying
+/// [`StepWriter`] directly.)
 #[derive(Debug, Clone)]
 pub struct TraceWriter<S: EventSink> {
     core: StepWriter,
@@ -430,8 +422,8 @@ mod tests {
 
     #[test]
     fn step_writer_matches_owned_writer_across_borrows() {
-        // The sink-less core, handed its sink one call at a time (as the
-        // fused pull loop does), emits exactly what the owned writer does.
+        // The sink-less core, handed its sink one call at a time, emits
+        // exactly what the owned writer does.
         let topo = Topology::new(2, 1);
         let mut direct = TraceBuilder::new("t", topo).with_think_cycles(2);
         direct.read(ProcId(0), GlobalAddr(0));

@@ -18,9 +18,9 @@
 //!   validation / summary statistics,
 //! * the pull-based [`source::TraceSource`] abstraction the simulator
 //!   drives, with materialized ([`source::TraceCursor`]), fused
-//!   ([`source::FusedSource`], running a resumable [`source::StepGenerator`]
-//!   inside the consumer's pull loop), threaded ([`source::ThreadedSource`])
-//!   and file-replayed ([`replay::ReplaySource`]) implementations,
+//!   ([`source::FusedSource`], running a per-processor
+//!   [`source::ProcGenerator`] inside the consumer's pull loop) and
+//!   file-replayed ([`replay::ReplaySource`]) implementations,
 //! * a seekless binary record/replay format ([`replay`]),
 //! * a shared-segment allocator ([`layout::AddressSpace`]) and a per-processor
 //!   [`builder::TraceBuilder`] / [`builder::TraceWriter`] that workloads use
@@ -47,7 +47,7 @@ pub use layout::{AddressSpace, Segment};
 pub use replay::{record, record_to_file, ReplaySource};
 pub use sharers::SharerSet;
 pub use source::{
-    default_window_cap, FusedSource, StepGenerator, ThreadedSource, TraceCursor, TraceSource,
-    DEFAULT_WINDOW_CAP, WINDOW_CAP_PER_PROC,
+    default_window_cap, FusedSource, ProcGenerator, TraceCursor, TraceSource, DEFAULT_WINDOW_CAP,
+    WINDOW_CAP_PER_PROC,
 };
 pub use trace::{ProgramTrace, StatsAccumulator, TraceError, TraceStats, MAX_LOCK_ID};

@@ -33,8 +33,10 @@ use std::path::Path;
 
 use crate::access::{MemRef, TraceEvent};
 use crate::addr::{GlobalAddr, ProcId, Topology};
-use crate::source::{Demux, TraceSource};
-use crate::trace::{TraceError, TraceStats};
+use std::collections::VecDeque;
+
+use crate::source::{default_window_cap, TraceSource};
+use crate::trace::{StatsAccumulator, TraceError, TraceStats};
 
 /// File magic: format name + version.
 pub const TRACE_MAGIC: &[u8; 8] = b"DSMTRC01";
@@ -119,6 +121,156 @@ fn corrupt(detail: &str) -> io::Error {
         io::ErrorKind::InvalidData,
         format!("corrupt trace file: {detail}"),
     )
+}
+
+/// The demultiplexing state of a [`ReplaySource`]: a trace file interleaves
+/// every processor's records, and per-processor pull cursors over it need
+/// small per-processor queues, per-processor end-of-stream flags, the
+/// incremental statistics every *pulled* event flows through, and the hard
+/// window cap on what is parked.
+///
+/// A burst pull leaves a buffer as at most two slice copies.  Each pulled
+/// event still goes through the statistics one at a time; what keeps that
+/// cheap is the accumulator's per-processor page memo, which skips the page
+/// interner while a processor stays on one page.  A processor's buffer is
+/// freed once its stream has ended and drained, so a finished source holds
+/// no high-water storage.
+#[derive(Debug)]
+struct Demux {
+    buffers: Vec<VecDeque<TraceEvent>>,
+    ended: Vec<bool>,
+    stats: StatsAccumulator,
+    /// Total parked events across all buffers.
+    buffered: usize,
+    window_cap: usize,
+    poisoned: Option<TraceError>,
+}
+
+impl Demux {
+    fn new(topology: Topology) -> Self {
+        Demux {
+            buffers: vec![VecDeque::new(); topology.total_procs()],
+            ended: vec![false; topology.total_procs()],
+            stats: StatsAccumulator::new(topology),
+            buffered: 0,
+            window_cap: default_window_cap(topology),
+            poisoned: None,
+        }
+    }
+
+    fn set_window_cap(&mut self, cap: usize) {
+        self.window_cap = cap.max(1);
+    }
+
+    /// Park one demultiplexed event for `proc`.  On window overflow the
+    /// demux poisons itself: the backlog is dropped, every stream reports
+    /// ended, and the error waits in [`Demux::take_error`].
+    #[inline]
+    fn push(&mut self, proc: ProcId, ev: TraceEvent) {
+        if self.poisoned.is_some() {
+            return;
+        }
+        if self.buffered >= self.window_cap {
+            self.poisoned = Some(TraceError::StreamWindowExceeded {
+                buffered: self.buffered,
+                cap: self.window_cap,
+            });
+            for buf in &mut self.buffers {
+                *buf = VecDeque::new();
+            }
+            self.buffered = 0;
+            self.ended.fill(true);
+            return;
+        }
+        self.buffered += 1;
+        self.buffers[proc.index()].push_back(ev);
+    }
+
+    /// Record that `proc`'s stream has no further events (an explicit
+    /// end-of-stream marker, or overall end of the underlying stream).
+    fn end(&mut self, proc: ProcId) {
+        let p = proc.index();
+        self.ended[p] = true;
+        self.release_if_done(p);
+    }
+
+    /// Mark every processor ended (overall end of the underlying stream).
+    fn end_all(&mut self) {
+        self.ended.fill(true);
+        for p in 0..self.buffers.len() {
+            self.release_if_done(p);
+        }
+    }
+
+    /// Free processor `p`'s buffer storage once its stream has ended and
+    /// every parked event was pulled: nothing will ever be parked there
+    /// again.
+    #[inline]
+    fn release_if_done(&mut self, p: usize) {
+        if self.ended[p] && self.buffers[p].is_empty() {
+            self.buffers[p] = VecDeque::new();
+        }
+    }
+
+    fn pop(&mut self, proc: ProcId) -> Option<TraceEvent> {
+        let p = proc.index();
+        let ev = self.buffers[p].pop_front()?;
+        self.buffered -= 1;
+        self.stats.observe(proc, &ev);
+        self.release_if_done(p);
+        Some(ev)
+    }
+
+    /// Pop up to `max` already-parked events for `proc` into `out`: the
+    /// buffer's (at most two) contiguous runs are copied as slices, then
+    /// each event is observed by the statistics.  Deliberately does *not*
+    /// trigger any upstream pumping — burst pulls take only what the serial
+    /// pump sequence has already produced, so window-cap behavior is
+    /// position-identical under either pull API.
+    fn pop_burst(&mut self, proc: ProcId, out: &mut Vec<TraceEvent>, max: usize) -> usize {
+        let p = proc.index();
+        let buf = &mut self.buffers[p];
+        let take = buf.len().min(max);
+        if take == 0 {
+            return 0;
+        }
+        let (front, back) = buf.as_slices();
+        let split = take.min(front.len());
+        for run in [&front[..split], &back[..take - split]] {
+            out.extend_from_slice(run);
+            for ev in run {
+                self.stats.observe(proc, ev);
+            }
+        }
+        buf.drain(..take);
+        self.buffered -= take;
+        self.release_if_done(p);
+        take
+    }
+
+    fn has_buffered(&self, proc: ProcId) -> bool {
+        !self.buffers[proc.index()].is_empty()
+    }
+
+    fn is_ended(&self, proc: ProcId) -> bool {
+        self.ended[proc.index()]
+    }
+
+    fn is_poisoned(&self) -> bool {
+        self.poisoned.is_some()
+    }
+
+    fn take_error(&mut self) -> Option<TraceError> {
+        self.poisoned.take()
+    }
+
+    fn buffered_events(&self) -> usize {
+        self.buffered
+    }
+
+    fn stats(&self) -> TraceStats {
+        self.stats.snapshot()
+    }
 }
 
 /// One demultiplexed record of a trace file.
@@ -385,8 +537,8 @@ impl<R: Read> TraceSource for ReplaySource<R> {
     }
 
     /// Burst pull: read records only until `proc` has a first event, then
-    /// drain what the demux already parked for it (same contract as
-    /// [`crate::FusedSource::next_burst`], file-fed).
+    /// drain what the demux already parked for it (the position contract of
+    /// [`TraceSource::next_burst`]).
     fn next_burst(&mut self, proc: ProcId, out: &mut Vec<TraceEvent>, max: usize) -> usize {
         loop {
             let n = self.demux.pop_burst(proc, out, max);
@@ -700,6 +852,32 @@ mod tests {
         let mut empty = ReplaySource::from_reader(&bare[..]).unwrap();
         assert!(empty.exhausted(ProcId(0)));
         assert_eq!(empty.next_event(ProcId(0)), None);
+    }
+
+    #[test]
+    fn window_cap_poisons_instead_of_growing() {
+        // Every record of proc 0 comes before proc 1's end marker: pulling
+        // proc 1 first must stop at the cap, not park proc 0's stream.
+        let mut bytes = header(2, 1);
+        for i in 0..100_000u64 {
+            bytes.extend_from_slice(&0u16.to_le_bytes());
+            bytes.push(0);
+            bytes.extend_from_slice(&(i * 64).to_le_bytes());
+        }
+        bytes.extend_from_slice(&1u16.to_le_bytes());
+        bytes.push(6);
+        let mut replay = ReplaySource::from_reader(&bytes[..])
+            .unwrap()
+            .with_window_cap(10_000);
+        assert!(replay.next_event(ProcId(1)).is_none());
+        assert!(replay.buffered_events() <= 10_000);
+        assert!(matches!(
+            replay.take_error(),
+            Some(TraceError::StreamWindowExceeded { cap: 10_000, .. })
+        ));
+        // Poisoned: everything reports exhausted.
+        assert!(replay.exhausted(ProcId(0)));
+        assert_eq!(replay.next_burst(ProcId(0), &mut Vec::new(), 8), 0);
     }
 
     #[test]

@@ -3,51 +3,31 @@
 //! The simulator is trace-driven, but nothing about it requires the whole
 //! trace to exist in memory: it only ever asks "what is processor `p`'s next
 //! event?".  `TraceSource` captures exactly that contract — per-processor
-//! pull cursors over a workload's event streams — so that the four ways a
+//! pull cursors over a workload's event streams — so that the three ways a
 //! trace can exist are interchangeable:
 //!
 //! * **materialized** — [`TraceCursor`], a cursor over a [`ProgramTrace`]
 //!   (the classic in-memory representation, still used by tests and
 //!   custom-trace callers);
-//! * **fused** — [`FusedSource`], which runs a resumable step-function
-//!   generator ([`StepGenerator`]) directly inside the consumer's pull
-//!   loop: no thread, no channel, no batch copies.  This is the default
-//!   when producer and consumer share a core (the common experiment case
-//!   where every worker thread runs one simulation);
-//! * **streamed** — [`ThreadedSource`], which runs a generator on its own
-//!   thread and hands events to the consumer through a small bounded
-//!   channel, overlapping generation with simulation when a spare core is
-//!   available;
+//! * **fused** — [`FusedSource`], which runs a per-processor generator
+//!   ([`ProcGenerator`]) inside the consumer's pull loop: processor `p`'s
+//!   next events are generated when `p` is pulled, into a small staging
+//!   buffer of `p`'s own.  Nothing of another processor is generated,
+//!   parked or counted on the way;
 //! * **replayed** — [`crate::replay::ReplaySource`], which demultiplexes a
-//!   recorded trace file without seeking.
+//!   recorded trace file without seeking.  A file holds every processor's
+//!   records interleaved, so replay is the one source that parks events of
+//!   processors other than the one pulled; its window cap
+//!   ([`default_window_cap`]) bounds that.
 //!
-//! Every source also accumulates incremental [`TraceStats`] over the events
-//! *pulled* so far ([`TraceSource::stats_so_far`]); once a source is drained
-//! these equal what [`ProgramTrace::stats`] would report for the same trace.
-//!
-//! # The exhaustion window, and why it is bounded
-//!
-//! A demultiplexing source (fused, threaded, replayed) learns that a
-//! processor's stream ended either from an explicit per-processor
-//! end-of-stream marker ([`crate::builder::EventSink::end_of_stream`],
-//! which the workload generators emit for every processor at their final
-//! barrier) or from the end of the whole underlying stream.  Between a
-//! processor going quiet and its end marker arriving, `exhausted`/
-//! `next_event` queries for it must read (and park) other processors'
-//! events.  Two mechanisms keep that window from silently reintroducing
-//! O(trace) memory: the end markers bound it to nothing for well-formed
-//! generators, and a hard cap ([`DEFAULT_WINDOW_CAP`], adjustable per
-//! source with `with_window_cap`) turns a genuinely unbounded window — an
-//! adversarial pull order against a stream whose processors do not end
-//! together — into [`TraceError::StreamWindowExceeded`], reported through
-//! [`TraceSource::take_error`], instead of unbounded queue growth.
+//! Every source also reports [`TraceStats`] over the events *pulled* so far
+//! ([`TraceSource::stats_so_far`]); once a source is drained these equal
+//! what [`ProgramTrace::stats`] would report for the same trace.
 
-use std::collections::VecDeque;
-use std::sync::mpsc;
+use std::cell::RefCell;
 
 use crate::access::TraceEvent;
 use crate::addr::{ProcId, Topology};
-use crate::builder::EventSink;
 use crate::trace::{ProgramTrace, StatsAccumulator, TraceError, TraceStats};
 
 /// A per-processor pull cursor over a workload's event streams.
@@ -87,12 +67,13 @@ pub trait TraceSource {
     /// Semantically identical to calling `next_event` up to `max` times and
     /// stopping at the first `None`, and implementations must preserve
     /// that equivalence *including side effects*: a demultiplexing source
-    /// may only pump its underlying stream as far as producing the first
-    /// event requires (exactly what one `next_event` call would pump) and
-    /// then take events that are already parked, so that window-cap
-    /// poisoning triggers at the same stream position under either API.
-    /// Returning fewer than `max` events while more are cheaply available
-    /// is allowed; returning `0` while the stream has events is not.
+    /// ([`crate::replay::ReplaySource`]) may only pump its underlying stream
+    /// as far as producing the first event requires (exactly what one
+    /// `next_event` call would pump) and then take events that are already
+    /// parked, so that window-cap poisoning triggers at the same stream
+    /// position under either API.  Returning fewer than `max` events while
+    /// more are cheaply available is allowed; returning `0` while the
+    /// stream has events is not.
     ///
     /// The default body loops `next_event`, which monomorphizes to the
     /// concrete source — a caller holding `&mut dyn TraceSource` pays one
@@ -113,9 +94,9 @@ pub trait TraceSource {
     /// drained this equals the whole-trace statistics.
     fn stats_so_far(&self) -> TraceStats;
 
-    /// Events read from the underlying stream but not yet pulled by the
-    /// consumer (the demultiplexing window).  0 for sources that never
-    /// park events.
+    /// Events produced or read but not yet pulled by the consumer: the
+    /// demultiplexing window of a replayed source, the per-processor
+    /// staging of a fused one.  0 for a materialized cursor.
     fn buffered_events(&self) -> usize {
         0
     }
@@ -260,8 +241,8 @@ impl TraceSource for TraceCursor<'_> {
     }
 
     /// Pulled-event statistics, identical in mid-stream meaning to what the
-    /// demultiplexing sources report: exactly the events the consumer has
-    /// seen, no matter which source implementation is behind the trait.
+    /// fused and replayed sources report: exactly the events the consumer
+    /// has seen, no matter which source implementation is behind the trait.
     fn stats_so_far(&self) -> TraceStats {
         let mut lazy = self.stats.borrow_mut();
         let LazyCursorStats { acc, seen } = &mut *lazy;
@@ -275,8 +256,8 @@ impl TraceSource for TraceCursor<'_> {
     }
 }
 
-/// Floor of the default cap on a demultiplexing source's parked-event
-/// window (see [`default_window_cap`]).
+/// Floor of the default cap on a replayed source's parked-event window
+/// (see [`default_window_cap`]).
 pub const DEFAULT_WINDOW_CAP: usize = 4 << 20;
 
 /// Per-processor allowance folded into the default window cap.
@@ -289,228 +270,104 @@ pub const DEFAULT_WINDOW_CAP: usize = 4 << 20;
 /// every Table 2 generator up to ~2000 processors.
 pub const WINDOW_CAP_PER_PROC: usize = 256 << 10;
 
-/// The default parked-event window cap for a machine: the flat
-/// [`DEFAULT_WINDOW_CAP`] floor or [`WINDOW_CAP_PER_PROC`] per processor,
-/// whichever is larger.  Far above any legitimate phase window at that
-/// machine size, far below a whole trace, so it trips on a genuine
-/// buffering blow-up (an adversarial pull order against a stream without
-/// early end markers) long before the process feels it.
+/// The default parked-event window cap of a [`crate::replay::ReplaySource`]
+/// for a machine: the flat [`DEFAULT_WINDOW_CAP`] floor or
+/// [`WINDOW_CAP_PER_PROC`] per processor, whichever is larger.  Far above
+/// any legitimate window at that machine size, far below a whole trace, so
+/// it trips on a genuine buffering blow-up (an adversarial pull order
+/// against a file whose processors do not end together) long before the
+/// process feels it.
+///
+/// A trace file is outside input: a recording need not interleave its
+/// processors fairly, and the cap is the only bound on what replaying one
+/// parks.  (Generated traces need no cap: [`FusedSource`] parks nothing.)
 pub fn default_window_cap(topology: Topology) -> usize {
     DEFAULT_WINDOW_CAP.max(topology.total_procs() * WINDOW_CAP_PER_PROC)
 }
 
-/// Shared demultiplexing state for sources that read one interleaved event
-/// stream (a step generator's emission, channel batches, trace-file
-/// records) and serve per-processor pull cursors: small per-processor
-/// queues, per-processor end-of-stream flags, the incremental statistics
-/// every *pulled* event flows through, and the hard window cap.
+/// A per-processor trace generator: the producer behind [`FusedSource`].
 ///
-/// [`FusedSource`], [`ThreadedSource`] and [`crate::replay::ReplaySource`]
-/// drive their `next_event`/`exhausted` loops off this one struct, so the
-/// demux semantics cannot drift between them.
+/// Each processor's stream is generated on its own: [`fill`] appends the
+/// next events of one processor's stream and produces nothing of any
+/// other's, so a consumer may pull processors in any order and nothing is
+/// ever parked.  Two equally constructed generators produce bit-identical
+/// streams however their fills are interleaved.
 ///
-/// A burst pull leaves a buffer as at most two slice copies.  Each pulled
-/// event still goes through the statistics one at a time; what keeps that
-/// cheap is the accumulator's per-processor page memo, which skips the page
-/// interner while a processor stays on one page.  A processor's buffer is
-/// freed once its stream has ended and drained, so a finished source holds
-/// no high-water storage.
-#[derive(Debug)]
-pub(crate) struct Demux {
-    buffers: Vec<VecDeque<TraceEvent>>,
-    ended: Vec<bool>,
-    stats: StatsAccumulator,
-    /// Total parked events across all buffers.
-    buffered: usize,
-    window_cap: usize,
-    poisoned: Option<TraceError>,
+/// [`fill`]: ProcGenerator::fill
+pub trait ProcGenerator: Send {
+    /// Append the next events of `proc`'s stream to `out` (which is not
+    /// cleared) and return how many: at least one while the stream has
+    /// events, `0` once it has ended.  A fill appends a bounded slice, so
+    /// the consumer's staging stays small.
+    fn fill(&mut self, proc: ProcId, out: &mut Vec<TraceEvent>) -> usize;
+
+    /// A fresh generator for the same trace, at the start of every stream.
+    /// [`FusedSource::stats_so_far`] replays one to recount what was
+    /// pulled, so statistics cost nothing while the source is drained.
+    fn restart(&self) -> Box<dyn ProcGenerator>;
 }
 
-impl Demux {
-    pub(crate) fn new(topology: Topology) -> Self {
-        Demux {
-            buffers: vec![VecDeque::new(); topology.total_procs()],
-            ended: vec![false; topology.total_procs()],
-            stats: StatsAccumulator::new(topology),
-            buffered: 0,
-            window_cap: default_window_cap(topology),
-            poisoned: None,
-        }
-    }
+/// One processor's staged slice: `events[head..]` are generated but not yet
+/// pulled.
+#[derive(Debug, Default)]
+struct Stage {
+    events: Vec<TraceEvent>,
+    head: usize,
+    /// Events of this processor pulled so far.
+    pulled: u64,
+    ended: bool,
+}
 
-    pub(crate) fn set_window_cap(&mut self, cap: usize) {
-        self.window_cap = cap.max(1);
-    }
-
-    /// Park one demultiplexed event for `proc`.  On window overflow the
-    /// demux poisons itself: the backlog is dropped, every stream reports
-    /// ended, and the error waits in [`Demux::take_error`].
+impl Stage {
+    /// Stage slices of `proc`'s stream until at least `want` events are
+    /// staged or the stream has ended, and return how many are staged.
+    /// What is left of the previous slice moves to the front first, so a
+    /// burst pull is not cut short at a slice boundary.
     #[inline]
-    pub(crate) fn push(&mut self, proc: ProcId, ev: TraceEvent) {
-        if self.poisoned.is_some() {
-            return;
-        }
-        if self.buffered >= self.window_cap {
-            self.poisoned = Some(TraceError::StreamWindowExceeded {
-                buffered: self.buffered,
-                cap: self.window_cap,
-            });
-            for buf in &mut self.buffers {
-                *buf = VecDeque::new();
-            }
-            self.buffered = 0;
-            self.ended.fill(true);
-            return;
-        }
-        self.buffered += 1;
-        self.buffers[proc.index()].push_back(ev);
-    }
-
-    /// Record that `proc`'s stream has no further events (an explicit
-    /// end-of-stream marker, or overall end of the underlying stream).
-    pub(crate) fn end(&mut self, proc: ProcId) {
-        let p = proc.index();
-        self.ended[p] = true;
-        self.release_if_done(p);
-    }
-
-    /// Mark every processor ended (overall end of the underlying stream).
-    pub(crate) fn end_all(&mut self) {
-        self.ended.fill(true);
-        for p in 0..self.buffers.len() {
-            self.release_if_done(p);
-        }
-    }
-
-    /// Free processor `p`'s buffer storage once its stream has ended and
-    /// every parked event was pulled: nothing will ever be parked there
-    /// again.
-    #[inline]
-    fn release_if_done(&mut self, p: usize) {
-        if self.ended[p] && self.buffers[p].is_empty() {
-            self.buffers[p] = VecDeque::new();
-        }
-    }
-
-    pub(crate) fn pop(&mut self, proc: ProcId) -> Option<TraceEvent> {
-        let p = proc.index();
-        let ev = self.buffers[p].pop_front()?;
-        self.buffered -= 1;
-        self.stats.observe(proc, &ev);
-        self.release_if_done(p);
-        Some(ev)
-    }
-
-    /// Pop up to `max` already-parked events for `proc` into `out`: the
-    /// buffer's (at most two) contiguous runs are copied as slices, then
-    /// each event is observed by the statistics.  Deliberately does *not*
-    /// trigger any upstream pumping — burst pulls take only what the serial
-    /// pump sequence has already produced, so window-cap behavior is
-    /// position-identical under either pull API.
-    pub(crate) fn pop_burst(
-        &mut self,
-        proc: ProcId,
-        out: &mut Vec<TraceEvent>,
-        max: usize,
-    ) -> usize {
-        let p = proc.index();
-        let buf = &mut self.buffers[p];
-        let take = buf.len().min(max);
-        if take == 0 {
-            return 0;
-        }
-        let (front, back) = buf.as_slices();
-        let split = take.min(front.len());
-        for run in [&front[..split], &back[..take - split]] {
-            out.extend_from_slice(run);
-            for ev in run {
-                self.stats.observe(proc, ev);
+    fn stage(&mut self, generator: &mut dyn ProcGenerator, proc: ProcId, want: usize) -> usize {
+        while self.events.len() - self.head < want && !self.ended {
+            self.events.drain(..self.head);
+            self.head = 0;
+            if generator.fill(proc, &mut self.events) == 0 {
+                self.ended = true;
             }
         }
-        buf.drain(..take);
-        self.buffered -= take;
-        self.release_if_done(p);
-        take
-    }
-
-    pub(crate) fn has_buffered(&self, proc: ProcId) -> bool {
-        !self.buffers[proc.index()].is_empty()
-    }
-
-    pub(crate) fn is_ended(&self, proc: ProcId) -> bool {
-        self.ended[proc.index()]
-    }
-
-    pub(crate) fn is_poisoned(&self) -> bool {
-        self.poisoned.is_some()
-    }
-
-    pub(crate) fn take_error(&mut self) -> Option<TraceError> {
-        self.poisoned.take()
-    }
-
-    pub(crate) fn buffered_events(&self) -> usize {
-        self.buffered
-    }
-
-    pub(crate) fn stats(&self) -> TraceStats {
-        self.stats.snapshot()
+        let staged = self.events.len() - self.head;
+        if staged == 0 && self.ended && self.events.capacity() > 0 {
+            // Nothing will be staged here again: free the buffer.
+            self.events = Vec::new();
+            self.head = 0;
+        }
+        staged
     }
 }
 
-/// The demux viewed as an [`EventSink`]: what a [`FusedSource`] hands its
-/// step generator each pump.
-struct DemuxSink<'a>(&'a mut Demux);
-
-impl EventSink for DemuxSink<'_> {
-    fn event(&mut self, proc: ProcId, ev: TraceEvent) {
-        self.0.push(proc, ev);
-    }
-    fn end_of_stream(&mut self, proc: ProcId) {
-        self.0.end(proc);
-    }
-}
-
-/// A resumable trace generator: the producer half of [`FusedSource`].
+/// A [`TraceSource`] that runs a [`ProcGenerator`] *inside* the consumer's
+/// pull loop.
 ///
-/// Each [`step`](StepGenerator::step) call emits a bounded batch of events
-/// (typically one processor's slice of one phase) into the sink it is
-/// handed and returns `true` while more remain.  The generator owns all of
-/// its state — loop counters, RNG, a [`crate::builder::StepWriter`] — so
-/// the consumer can interleave steps with event pulls on one thread.
+/// Pulling processor `p` when its staged events run short of the pull asks
+/// the generator for `p`'s next slice, and only `p`'s: no thread, no
+/// channel, no parking of other processors' events, no per-event
+/// bookkeeping.  Peak memory is one small slice (plus at most one burst)
+/// per processor, whatever the pull order.
 ///
-/// Implementations must emit per-processor end-of-stream markers
-/// ([`crate::builder::StepWriter::finish`]) when done, and must emit the
-/// same event sequences regardless of how the calls are interleaved with
-/// other work: two equally constructed generators stepped to completion
-/// produce bit-identical streams.
-pub trait StepGenerator: Send {
-    /// Emit the next bounded batch into `sink`; `false` once the trace is
-    /// complete (the final call emits the end-of-stream markers).  Not
-    /// called again after returning `false`.
-    fn step(&mut self, sink: &mut dyn EventSink) -> bool;
-}
-
-/// A [`TraceSource`] that runs its generator *inside* the consumer's pull
-/// loop.
+/// Statistics are counted lazily: the source only counts pulled events per
+/// processor, and [`TraceSource::stats_so_far`] replays a fresh copy of the
+/// generator ([`ProcGenerator::restart`]) up to those counts — the lazy
+/// catch-up of [`TraceCursor`], applied to a generator.  A run that never
+/// asks pays nothing.
 ///
-/// When the pulled processor's queue is empty, the source steps the
-/// generator until that processor has an event (or its end marker).  No
-/// thread, no channel, no batch copies: events go straight from the
-/// generator's emission into the per-processor queues the consumer pops.
-/// Peak memory is the skew between emission order and consumption order —
-/// for the phase-structured SPLASH generators, a fraction of one phase —
-/// guarded by the same window cap as every demultiplexing source.
-///
-/// This is the right source when producer and consumer share a core (every
-/// experiment worker thread runs one simulation); [`ThreadedSource`]
-/// remains for overlapping generation with simulation on a spare core and
-/// for feeding recorders.
+/// Building a source allocates nothing beyond the generator: the staging
+/// buffers are made on the first pull.
 pub struct FusedSource {
     name: String,
     topology: Topology,
-    generator: Option<Box<dyn StepGenerator>>,
-    demux: Demux,
+    generator: Box<dyn ProcGenerator>,
+    stages: Vec<Stage>,
+    /// The statistics replay, made on the first `stats_so_far`.  Interior
+    /// mutability: catching up is observationally pure, and `stats_so_far`
+    /// takes `&self` across every source implementation.
+    stats: RefCell<Option<StatsReplay>>,
 }
 
 impl std::fmt::Debug for FusedSource {
@@ -522,42 +379,40 @@ impl std::fmt::Debug for FusedSource {
     }
 }
 
+/// A second generator, the accumulator it feeds and, per processor, how
+/// far the accumulator has seen and the replayed events not yet counted.
+struct StatsReplay {
+    generator: Box<dyn ProcGenerator>,
+    acc: StatsAccumulator,
+    stages: Vec<Stage>,
+}
+
 impl FusedSource {
-    /// Wrap a step generator as a pull source for `topology`.
+    /// Serve `generator`'s streams for `topology` as a pull source.
     pub fn new(
         name: impl Into<String>,
         topology: Topology,
-        generator: Box<dyn StepGenerator>,
+        generator: Box<dyn ProcGenerator>,
     ) -> Self {
         FusedSource {
             name: name.into(),
             topology,
-            generator: Some(generator),
-            demux: Demux::new(topology),
+            generator,
+            stages: Vec::new(),
+            stats: RefCell::new(None),
         }
     }
 
-    /// Replace the parked-event window cap (default
-    /// [`default_window_cap`] for the source's topology).
-    pub fn with_window_cap(mut self, cap: usize) -> Self {
-        self.demux.set_window_cap(cap);
-        self
-    }
-
-    /// Run the generator for one step.  Returns `false` once it (or the
-    /// window cap) ended the stream.
-    fn pump(&mut self) -> bool {
-        let Some(generator) = &mut self.generator else {
-            return false;
-        };
-        let more = generator.step(&mut DemuxSink(&mut self.demux));
-        if !more {
-            self.generator = None;
-            self.demux.end_all();
-        } else if self.demux.is_poisoned() {
-            self.generator = None;
+    /// `proc`'s stage and the generator that fills it, with every stage
+    /// made on the first pull.
+    #[inline]
+    fn stage(&mut self, proc: ProcId) -> (&mut Stage, &mut dyn ProcGenerator) {
+        if self.stages.is_empty() {
+            self.stages = (0..self.topology.total_procs())
+                .map(|_| Stage::default())
+                .collect();
         }
-        more && !self.demux.is_poisoned()
+        (&mut self.stages[proc.index()], &mut *self.generator)
     }
 }
 
@@ -571,287 +426,58 @@ impl TraceSource for FusedSource {
     }
 
     fn next_event(&mut self, proc: ProcId) -> Option<TraceEvent> {
-        loop {
-            if let Some(ev) = self.demux.pop(proc) {
-                return Some(ev);
-            }
-            if self.demux.is_ended(proc) || !self.pump() {
-                return None;
-            }
+        let (stage, generator) = self.stage(proc);
+        if stage.stage(generator, proc, 1) == 0 {
+            return None;
         }
+        let ev = stage.events[stage.head];
+        stage.head += 1;
+        stage.pulled += 1;
+        Some(ev)
     }
 
     fn exhausted(&mut self, proc: ProcId) -> bool {
-        loop {
-            if self.demux.has_buffered(proc) {
-                return false;
-            }
-            if self.demux.is_ended(proc) || !self.pump() {
-                return true;
-            }
-        }
+        let (stage, generator) = self.stage(proc);
+        stage.stage(generator, proc, 1) == 0
     }
 
-    /// Burst pull: pump only until `proc` has *a* first event (the same
-    /// pump sequence one `next_event` performs), then take whatever the
-    /// demux has already parked for it, up to `max`.
     fn next_burst(&mut self, proc: ProcId, out: &mut Vec<TraceEvent>, max: usize) -> usize {
-        loop {
-            let n = self.demux.pop_burst(proc, out, max);
-            if n > 0 {
-                return n;
-            }
-            if self.demux.is_ended(proc) || !self.pump() {
-                return 0;
-            }
-        }
+        let (stage, generator) = self.stage(proc);
+        let take = stage.stage(generator, proc, max).min(max);
+        out.extend_from_slice(&stage.events[stage.head..stage.head + take]);
+        stage.head += take;
+        stage.pulled += take as u64;
+        take
     }
 
     fn stats_so_far(&self) -> TraceStats {
-        self.demux.stats()
+        let mut slot = self.stats.borrow_mut();
+        let replay = slot.get_or_insert_with(|| StatsReplay {
+            generator: self.generator.restart(),
+            acc: StatsAccumulator::new(self.topology),
+            stages: (0..self.topology.total_procs())
+                .map(|_| Stage::default())
+                .collect(),
+        });
+        for (p, stage) in self.stages.iter().enumerate() {
+            let proc = ProcId(p as u16);
+            let shadow = &mut replay.stages[p];
+            while shadow.pulled < stage.pulled && shadow.stage(&mut *replay.generator, proc, 1) > 0
+            {
+                let want = (stage.pulled - shadow.pulled) as usize;
+                let take = (shadow.events.len() - shadow.head).min(want);
+                for ev in &shadow.events[shadow.head..shadow.head + take] {
+                    replay.acc.observe(proc, ev);
+                }
+                shadow.head += take;
+                shadow.pulled += take as u64;
+            }
+        }
+        replay.acc.snapshot()
     }
 
     fn buffered_events(&self) -> usize {
-        self.demux.buffered_events()
-    }
-
-    fn take_error(&mut self) -> Option<TraceError> {
-        self.demux.take_error()
-    }
-}
-
-/// Events per channel batch: big enough to amortize channel synchronization,
-/// small enough that a batch is a rounding error next to any real trace.
-const BATCH_EVENTS: usize = 1024;
-/// Batches the channel buffers before the producer blocks.  Bounded memory:
-/// the producer can run at most `BATCH_BUFFER * BATCH_EVENTS` events ahead
-/// of the consumer (plus whatever the consumer demultiplexes while waiting
-/// for a specific processor's next event — itself bounded by the window
-/// cap).
-const BATCH_BUFFER: usize = 32;
-
-/// What flows through a [`ThreadedSource`]'s channel: event batches,
-/// interleaved with per-processor end-of-stream markers at the positions
-/// the generator emitted them.
-enum Chunk {
-    Events(Vec<(u16, TraceEvent)>),
-    EndOfStream(u16),
-}
-
-/// The producer half of [`ThreadedSource`]: an [`EventSink`] that ships
-/// events to the consumer in bounded batches.
-struct ChannelSink {
-    tx: mpsc::SyncSender<Chunk>,
-    buf: Vec<(u16, TraceEvent)>,
-    /// Set once the consumer hung up; subsequent events are discarded so the
-    /// generator can run to completion (cheap) instead of unwinding.
-    dead: bool,
-}
-
-impl ChannelSink {
-    fn new(tx: mpsc::SyncSender<Chunk>) -> Self {
-        ChannelSink {
-            tx,
-            buf: Vec::with_capacity(BATCH_EVENTS),
-            dead: false,
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.dead || self.buf.is_empty() {
-            return;
-        }
-        let batch = std::mem::replace(&mut self.buf, Vec::with_capacity(BATCH_EVENTS));
-        if self.tx.send(Chunk::Events(batch)).is_err() {
-            self.dead = true;
-        }
-    }
-}
-
-impl EventSink for ChannelSink {
-    fn event(&mut self, proc: ProcId, ev: TraceEvent) {
-        if self.dead {
-            return;
-        }
-        self.buf.push((proc.0, ev));
-        if self.buf.len() >= BATCH_EVENTS {
-            self.flush();
-        }
-    }
-
-    fn end_of_stream(&mut self, proc: ProcId) {
-        // Order matters: the marker must arrive after every event the
-        // processor emitted, so flush the pending batch first.
-        self.flush();
-        if !self.dead && self.tx.send(Chunk::EndOfStream(proc.0)).is_err() {
-            self.dead = true;
-        }
-    }
-}
-
-/// A [`TraceSource`] produced by a generator running on its own thread.
-///
-/// The generator emits events in program order into a bounded channel; the
-/// consumer demultiplexes them into small per-processor queues as the
-/// simulator pulls.  Peak memory is the channel bound plus the skew between
-/// emission order and consumption order (for the phase-structured SPLASH-2
-/// generators: a fraction of one phase), *not* the trace size.
-///
-/// Per-processor end-of-stream markers flow through the channel at the
-/// position the generator emitted them, so a processor's exhaustion is
-/// observable as soon as its stream actually ends — the window between a
-/// processor going quiet and the consumer learning it is gone for
-/// well-formed generators, and hard-capped
-/// ([`TraceError::StreamWindowExceeded`]) for everything else.
-pub struct ThreadedSource {
-    name: String,
-    topology: Topology,
-    rx: Option<mpsc::Receiver<Chunk>>,
-    handle: Option<std::thread::JoinHandle<()>>,
-    demux: Demux,
-}
-
-impl std::fmt::Debug for ThreadedSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadedSource")
-            .field("name", &self.name)
-            .field("topology", &self.topology)
-            .finish_non_exhaustive()
-    }
-}
-
-impl ThreadedSource {
-    /// Run `generate` on a fresh thread and stream whatever it emits.
-    ///
-    /// `generate` receives an [`EventSink`] and must emit a well-formed
-    /// trace for `topology` (same contract as emitting into a
-    /// [`crate::TraceBuilder`]).  Dropping the source early is safe: the
-    /// sink discards everything emitted after the hang-up and the thread
-    /// exits once `generate` returns (generation is the cheap half of the
-    /// pipeline — the remainder costs background CPU, never memory).
-    pub fn spawn<F>(name: impl Into<String>, topology: Topology, generate: F) -> Self
-    where
-        F: FnOnce(&mut dyn EventSink) + Send + 'static,
-    {
-        let (tx, rx) = mpsc::sync_channel(BATCH_BUFFER);
-        let handle = std::thread::Builder::new()
-            .name("trace-generator".into())
-            .spawn(move || {
-                let mut sink = ChannelSink::new(tx);
-                generate(&mut sink);
-                sink.flush();
-            })
-            // dsm-lint: allow(panic-path, thread creation failure is an OS resource error not input-dependent; fail fast)
-            .expect("spawn trace-generator thread");
-        ThreadedSource {
-            name: name.into(),
-            topology,
-            rx: Some(rx),
-            handle: Some(handle),
-            demux: Demux::new(topology),
-        }
-    }
-
-    /// Replace the parked-event window cap (default
-    /// [`default_window_cap`] for the source's topology).
-    pub fn with_window_cap(mut self, cap: usize) -> Self {
-        self.demux.set_window_cap(cap);
-        self
-    }
-
-    /// Receive one chunk and demultiplex it.  Returns `false` at end of
-    /// stream (or once the window cap poisoned the demux — the channel is
-    /// then dropped so the producer winds down on its own).  Propagates a
-    /// generator panic to the consumer.
-    fn pump(&mut self) -> bool {
-        let Some(rx) = &self.rx else { return false };
-        match rx.recv() {
-            Ok(chunk) => {
-                match chunk {
-                    Chunk::Events(batch) => {
-                        for (p, ev) in batch {
-                            self.demux.push(ProcId(p), ev);
-                        }
-                    }
-                    Chunk::EndOfStream(p) => self.demux.end(ProcId(p)),
-                }
-                if self.demux.is_poisoned() {
-                    // Hang up; the generator discards the rest and exits.
-                    self.rx = None;
-                    return false;
-                }
-                true
-            }
-            Err(_) => {
-                self.rx = None;
-                self.demux.end_all();
-                if let Some(handle) = self.handle.take() {
-                    if let Err(panic) = handle.join() {
-                        std::panic::resume_unwind(panic);
-                    }
-                }
-                false
-            }
-        }
-    }
-}
-
-impl TraceSource for ThreadedSource {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn topology(&self) -> Topology {
-        self.topology
-    }
-
-    fn next_event(&mut self, proc: ProcId) -> Option<TraceEvent> {
-        loop {
-            if let Some(ev) = self.demux.pop(proc) {
-                return Some(ev);
-            }
-            if self.demux.is_ended(proc) || !self.pump() {
-                return None;
-            }
-        }
-    }
-
-    fn exhausted(&mut self, proc: ProcId) -> bool {
-        loop {
-            if self.demux.has_buffered(proc) {
-                return false;
-            }
-            if self.demux.is_ended(proc) || !self.pump() {
-                return true;
-            }
-        }
-    }
-
-    /// Burst pull: receive chunks only until `proc` has a first event,
-    /// then drain what the demux already parked for it (see
-    /// [`FusedSource::next_burst`] — same contract, channel-fed).
-    fn next_burst(&mut self, proc: ProcId, out: &mut Vec<TraceEvent>, max: usize) -> usize {
-        loop {
-            let n = self.demux.pop_burst(proc, out, max);
-            if n > 0 {
-                return n;
-            }
-            if self.demux.is_ended(proc) || !self.pump() {
-                return 0;
-            }
-        }
-    }
-
-    fn stats_so_far(&self) -> TraceStats {
-        self.demux.stats()
-    }
-
-    fn buffered_events(&self) -> usize {
-        self.demux.buffered_events()
-    }
-
-    fn take_error(&mut self) -> Option<TraceError> {
-        self.demux.take_error()
+        self.stages.iter().map(|s| s.events.len() - s.head).sum()
     }
 }
 
@@ -859,7 +485,7 @@ impl TraceSource for ThreadedSource {
 mod tests {
     use super::*;
     use crate::addr::GlobalAddr;
-    use crate::builder::{StepWriter, TraceBuilder, TraceWriter};
+    use crate::builder::TraceBuilder;
 
     fn toy_trace() -> ProgramTrace {
         let topo = Topology::new(2, 1);
@@ -872,41 +498,39 @@ mod tests {
         b.build()
     }
 
-    /// A step generator replaying the toy trace: one event per step, fair
-    /// round-robin, end markers when each processor drains.
-    struct ToySteps {
-        trace: ProgramTrace,
+    /// A per-processor generator serving the toy trace one event per fill.
+    #[derive(Clone)]
+    struct ToyGen {
+        trace: std::sync::Arc<ProgramTrace>,
         pos: Vec<usize>,
-        next: usize,
     }
 
-    impl ToySteps {
+    impl ToyGen {
         fn new(trace: ProgramTrace) -> Self {
             let procs = trace.per_proc.len();
-            ToySteps {
-                trace,
+            ToyGen {
+                trace: std::sync::Arc::new(trace),
                 pos: vec![0; procs],
-                next: 0,
             }
         }
     }
 
-    impl StepGenerator for ToySteps {
-        fn step(&mut self, sink: &mut dyn EventSink) -> bool {
-            let procs = self.pos.len();
-            for _ in 0..procs {
-                let p = self.next;
-                self.next = (self.next + 1) % procs;
-                if let Some(ev) = self.trace.per_proc[p].get(self.pos[p]) {
-                    sink.event(ProcId(p as u16), *ev);
-                    self.pos[p] += 1;
-                    if self.pos[p] == self.trace.per_proc[p].len() {
-                        sink.end_of_stream(ProcId(p as u16));
-                    }
-                    return true;
-                }
-            }
-            false
+    impl ProcGenerator for ToyGen {
+        fn fill(&mut self, proc: ProcId, out: &mut Vec<TraceEvent>) -> usize {
+            let p = proc.index();
+            let Some(ev) = self.trace.per_proc[p].get(self.pos[p]) else {
+                return 0;
+            };
+            out.push(*ev);
+            self.pos[p] += 1;
+            1
+        }
+
+        fn restart(&self) -> Box<dyn ProcGenerator> {
+            Box::new(ToyGen {
+                trace: std::sync::Arc::clone(&self.trace),
+                pos: vec![0; self.pos.len()],
+            })
         }
     }
 
@@ -960,12 +584,16 @@ mod tests {
     fn fused_source_matches_materialized_trace() {
         let trace = toy_trace();
         let topo = trace.topology;
-        let mut src = FusedSource::new("toy", topo, Box::new(ToySteps::new(trace.clone())));
+        let mut src = FusedSource::new("toy", topo, Box::new(ToyGen::new(trace.clone())));
+        assert_eq!(src.buffered_events(), 0);
         // Pull in an adversarial order: proc 1 fully first.
         let mut p1 = Vec::new();
         while let Some(ev) = src.next_event(ProcId(1)) {
             p1.push(ev);
         }
+        // Nothing of proc 0 was generated on the way.
+        assert_eq!(src.buffered_events(), 0);
+        assert_eq!(src.stats_so_far().accesses, 1);
         let mut p0 = Vec::new();
         while let Some(ev) = src.next_event(ProcId(0)) {
             p0.push(ev);
@@ -978,112 +606,22 @@ mod tests {
     }
 
     #[test]
-    fn fused_source_window_cap_poisons_instead_of_growing() {
-        // A generator whose proc 0 emits forever while proc 1 stays silent:
-        // pulling proc 1 must hit the cap and surface the error, not OOM.
-        struct Endless(u64);
-        impl StepGenerator for Endless {
-            fn step(&mut self, sink: &mut dyn EventSink) -> bool {
-                sink.event(ProcId(0), TraceEvent::read(GlobalAddr(self.0 * 64)));
-                self.0 += 1;
-                true
-            }
-        }
-        let topo = Topology::new(2, 1);
-        let mut src =
-            FusedSource::new("endless", topo, Box::new(Endless(0))).with_window_cap(1_000);
-        assert!(src.next_event(ProcId(1)).is_none());
-        assert!(src.buffered_events() <= 1_000);
-        match src.take_error() {
-            Some(TraceError::StreamWindowExceeded { buffered, cap }) => {
-                assert_eq!(cap, 1_000);
-                assert!(buffered >= 1_000);
-            }
-            other => panic!("expected StreamWindowExceeded, got {other:?}"),
-        }
-        // Poisoned: everything reports exhausted.
-        assert!(src.exhausted(ProcId(0)));
-    }
-
-    #[test]
-    fn threaded_source_matches_materialized_trace() {
+    fn fused_stats_replay_the_pulled_prefix() {
         let trace = toy_trace();
-        let topo = trace.topology;
-        let mut src = ThreadedSource::spawn("toy", topo, move |sink| {
-            let mut w = TraceWriter::new(topo, sink).with_think_cycles(2);
-            w.read(ProcId(0), GlobalAddr(0));
-            w.barrier_all();
-            w.write(ProcId(1), GlobalAddr(4096));
-            w.lock(ProcId(1), 7);
-            w.unlock(ProcId(1), 7);
-            w.finish();
-        });
-        // Pull in an adversarial order: proc 1 fully first.
-        let mut p1 = Vec::new();
-        while let Some(ev) = src.next_event(ProcId(1)) {
-            p1.push(ev);
+        let mut src = FusedSource::new("toy", trace.topology, Box::new(ToyGen::new(trace.clone())));
+        let mut cursor = trace.source();
+        assert_eq!(src.stats_so_far(), TraceStats::default());
+        for (p, n) in [(0u16, 2usize), (1, 1), (1, 3), (0, 1)] {
+            for _ in 0..n {
+                assert_eq!(src.next_event(ProcId(p)), cursor.next_event(ProcId(p)));
+            }
+            // Asked between every pull: each ask catches up incrementally.
+            assert_eq!(src.stats_so_far(), cursor.stats_so_far());
         }
-        let mut p0 = Vec::new();
-        while let Some(ev) = src.next_event(ProcId(0)) {
-            p0.push(ev);
+        for p in trace.topology.proc_ids() {
+            while src.next_event(p).is_some() {}
         }
-        assert_eq!(p0, trace.per_proc[0]);
-        assert_eq!(p1, trace.per_proc[1]);
-        assert!(src.exhausted(ProcId(0)) && src.exhausted(ProcId(1)));
         assert_eq!(src.stats_so_far(), trace.stats());
-    }
-
-    #[test]
-    fn threaded_end_markers_bound_the_exhaustion_window() {
-        // Proc 1 emits one event and ends; proc 0 keeps going for 100k
-        // events.  With the marker flowing through the channel, draining
-        // proc 1 and asking about its exhaustion must not pull proc 0's
-        // stream through the demux.
-        let topo = Topology::new(2, 1);
-        let mut src = ThreadedSource::spawn("uneven", topo, move |sink| {
-            let mut w = StepWriter::new(topo);
-            w.read(sink, ProcId(1), GlobalAddr(0));
-            sink.end_of_stream(ProcId(1));
-            for i in 0..100_000u64 {
-                w.read(sink, ProcId(0), GlobalAddr(i * 64));
-            }
-            sink.end_of_stream(ProcId(0));
-        });
-        assert!(src.next_event(ProcId(1)).is_some());
-        assert!(src.next_event(ProcId(1)).is_none());
-        assert!(src.exhausted(ProcId(1)));
-        assert!(
-            src.buffered_events() <= 2 * BATCH_EVENTS,
-            "exhaustion query dragged {} events through the demux",
-            src.buffered_events()
-        );
-        // The rest still streams intact.
-        let mut got0 = 0usize;
-        while src.next_event(ProcId(0)).is_some() {
-            got0 += 1;
-        }
-        assert_eq!(got0, 100_000);
-    }
-
-    #[test]
-    fn threaded_window_cap_poisons_instead_of_growing() {
-        // No end marker for the quiet proc 1: the adversarial pull order
-        // that used to buffer the whole stream now trips the cap.
-        let topo = Topology::new(2, 1);
-        let mut src = ThreadedSource::spawn("runaway", topo, move |sink| {
-            let mut w = StepWriter::new(topo);
-            for i in 0..1_000_000u64 {
-                w.read(sink, ProcId(0), GlobalAddr(i * 64));
-            }
-        })
-        .with_window_cap(10_000);
-        assert!(src.next_event(ProcId(1)).is_none());
-        assert!(src.buffered_events() <= 10_000);
-        assert!(matches!(
-            src.take_error(),
-            Some(TraceError::StreamWindowExceeded { cap: 10_000, .. })
-        ));
-        assert!(src.exhausted(ProcId(0)));
     }
 
     #[test]
@@ -1103,31 +641,18 @@ mod tests {
     }
 
     #[test]
-    fn threaded_source_survives_early_drop() {
-        let topo = Topology::new(1, 1);
-        let mut src = ThreadedSource::spawn("big", topo, move |sink| {
-            let mut w = TraceWriter::new(topo, sink);
-            for i in 0..1_000_000u64 {
-                w.read(ProcId(0), GlobalAddr(i * 64));
-            }
-        });
-        // Consume a handful of events, then drop: the generator thread must
-        // wind down on its own without blocking anything.
-        for _ in 0..10 {
-            assert!(src.next_event(ProcId(0)).is_some());
-        }
-        drop(src);
-    }
-
-    #[test]
     #[should_panic(expected = "generator exploded")]
     fn generator_panic_propagates_to_the_consumer() {
-        let topo = Topology::new(1, 1);
-        let mut src = ThreadedSource::spawn("bad", topo, move |sink| {
-            let mut w = TraceWriter::new(topo, sink);
-            w.read(ProcId(0), GlobalAddr(0));
-            panic!("generator exploded");
-        });
+        struct Exploding;
+        impl ProcGenerator for Exploding {
+            fn fill(&mut self, _proc: ProcId, _out: &mut Vec<TraceEvent>) -> usize {
+                panic!("generator exploded");
+            }
+            fn restart(&self) -> Box<dyn ProcGenerator> {
+                Box::new(Exploding)
+            }
+        }
+        let mut src = FusedSource::new("bad", Topology::new(1, 1), Box::new(Exploding));
         while src.next_event(ProcId(0)).is_some() {}
     }
 }

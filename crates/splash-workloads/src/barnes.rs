@@ -10,15 +10,17 @@
 //! hurt by migrating read-mostly pages back and forth.
 
 use crate::config::{Scale, WorkloadConfig};
-use crate::util::{advance_proc_phase, owned_range};
+use crate::program::{Draws, Emit, ProcStreams, Program};
+use crate::util::owned_range;
 use crate::Workload;
-use mem_trace::{AddressSpace, EventSink, ProcId, Segment, StepGenerator, StepWriter, Topology};
+use mem_trace::{AddressSpace, EventSink, ProcGenerator, ProcId, Segment, Topology};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// Barnes-Hut N-body simulation.
 pub struct Barnes;
 
+#[derive(Clone)]
 struct BarnesParams {
     bodies: u64,
     timesteps: u64,
@@ -60,26 +62,36 @@ impl BarnesParams {
     }
 }
 
-enum BarnesState {
-    Init { p: usize },
-    Build { step: u64, p: usize },
-    Force { step: u64, p: usize },
-    Update { step: u64, p: usize },
-    Finish,
+/// The barnes phases: initialization, then per timestep the tree build,
+/// the force computation and the position update.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    Init,
+    Build,
+    Force,
+    Update,
 }
 
-struct BarnesGen {
+#[derive(Clone)]
+struct BarnesProgram {
     params: BarnesParams,
     topology: Topology,
-    procs: usize,
+    seed: u64,
     bodies: Segment,
     cells: Segment,
-    w: StepWriter,
-    rng: SmallRng,
-    state: BarnesState,
 }
 
-impl BarnesGen {
+/// One processor's slice of a phase over its owned bodies.
+#[derive(Clone, Copy)]
+struct BarnesSlice {
+    phase: Phase,
+    first_body: u64,
+}
+
+/// Bodies per tree-build insertion (every 8th owned body is inserted).
+const BUILD_STRIDE: u64 = 8;
+
+impl BarnesProgram {
     fn new(cfg: &WorkloadConfig) -> Self {
         let params = BarnesParams::for_scale(cfg.scale);
         let mut space = AddressSpace::new();
@@ -87,130 +99,119 @@ impl BarnesGen {
         let bodies = space.alloc("bodies", params.bodies, 64);
         // Tree cells are two cache lines (children pointers + multipole).
         let cells = space.alloc("cells", params.cells, 128);
-        BarnesGen {
+        BarnesProgram {
             params,
             topology: cfg.topology,
-            procs: cfg.topology.total_procs(),
+            seed: cfg.seed ^ 0xba53,
             bodies,
             cells,
-            w: StepWriter::new(cfg.topology).with_think_cycles(cfg.think_cycles),
-            rng: SmallRng::seed_from_u64(cfg.seed ^ 0xba53),
-            state: BarnesState::Init { p: 0 },
+        }
+    }
+
+    fn phase(&self, ph: usize) -> Phase {
+        match ph {
+            0 => Phase::Init,
+            _ => [Phase::Build, Phase::Force, Phase::Update][(ph - 1) % 3],
         }
     }
 }
 
-impl StepGenerator for BarnesGen {
-    fn step(&mut self, sink: &mut dyn EventSink) -> bool {
+impl Program for BarnesProgram {
+    type Slice = BarnesSlice;
+
+    fn phases(&self) -> usize {
+        1 + 3 * self.params.timesteps as usize
+    }
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn draws(&self, ph: usize) -> Draws {
+        match self.phase(ph) {
+            Phase::Build | Phase::Force => Draws::ByProc,
+            Phase::Init | Phase::Update => Draws::None,
+        }
+    }
+
+    fn slice(&self, ph: usize, p: usize) -> (u64, BarnesSlice) {
+        let phase = self.phase(ph);
+        let owned = owned_range(self.params.bodies as usize, self.topology, ProcId(p as u16));
+        let len = owned.len() as u64;
+        let items = if phase == Phase::Build {
+            len.div_ceil(BUILD_STRIDE)
+        } else {
+            len
+        };
+        let slice = BarnesSlice {
+            phase,
+            first_body: owned.start as u64,
+        };
+        (items, slice)
+    }
+
+    fn emit(&self, _p: ProcId, s: &BarnesSlice, i: u64, rng: &mut SmallRng, out: &mut Emit<'_>) {
         let params = &self.params;
-        match self.state {
+        match s.phase {
             // Initialization: owners write their own bodies.
-            BarnesState::Init { p } => {
-                let proc = ProcId(p as u16);
-                for i in owned_range(params.bodies as usize, self.topology, proc) {
-                    self.w.write(sink, proc, self.bodies.elem(i as u64));
-                }
-                self.state = advance_proc_phase(
-                    &mut self.w,
-                    sink,
-                    p,
-                    self.procs,
-                    |p| BarnesState::Init { p },
-                    || BarnesState::Build { step: 0, p: 0 },
-                );
-            }
+            Phase::Init => out.write(self.bodies.elem(s.first_body + i)),
             // Phase 1: tree build.  Every processor inserts its bodies,
             // writing a root-to-leaf path of cells under a per-subtree lock.
             // The upper cells (small indices) are touched by everyone.
-            BarnesState::Build { step, p } => {
-                let proc = ProcId(p as u16);
-                let range = owned_range(params.bodies as usize, self.topology, proc);
-                for i in range.step_by(8) {
-                    let lock_id = (i as u32 % 8) + 1;
-                    self.w.lock(sink, proc, lock_id);
-                    // Path from the root: geometrically distributed indices.
-                    let mut idx = 0u64;
-                    for depth in 0..4u64 {
-                        self.w.read(sink, proc, self.cells.elem(idx));
-                        self.w.write(sink, proc, self.cells.elem(idx));
-                        let fanout = 1 + self.rng.gen_range(0..4u64);
-                        idx = (idx * 4 + fanout + depth) % params.cells;
-                    }
-                    self.w.unlock(sink, proc, lock_id);
+            Phase::Build => {
+                let body = s.first_body + i * BUILD_STRIDE;
+                let lock_id = (body as u32 % 8) + 1;
+                out.lock(lock_id);
+                // Path from the root: geometrically distributed indices.
+                let mut idx = 0u64;
+                for depth in 0..4u64 {
+                    out.read(self.cells.elem(idx));
+                    out.write(self.cells.elem(idx));
+                    let fanout = 1 + rng.gen_range(0..4u64);
+                    idx = (idx * 4 + fanout + depth) % params.cells;
                 }
-                self.state = advance_proc_phase(
-                    &mut self.w,
-                    sink,
-                    p,
-                    self.procs,
-                    |p| BarnesState::Build { step, p },
-                    || BarnesState::Force { step, p: 0 },
-                );
+                out.unlock(lock_id);
             }
             // Phase 2: force computation.  Each body's owner walks the upper
             // tree (read-shared cells) and reads a sample of other bodies,
             // then writes its own body's accelerations.
-            BarnesState::Force { step, p } => {
-                let proc = ProcId(p as u16);
-                for i in owned_range(params.bodies as usize, self.topology, proc) {
-                    for walk in 0..params.cells_per_walk {
-                        // Walks are heavily biased towards the top of the
-                        // tree, which is what makes those pages read-shared
-                        // by all nodes.
-                        let cell = if walk < 4 {
-                            walk
-                        } else {
-                            self.rng.gen_range(0..params.cells)
-                        };
-                        self.w.read(sink, proc, self.cells.elem(cell));
-                    }
-                    for _ in 0..params.neighbors_per_body {
-                        let other = self.rng.gen_range(0..params.bodies);
-                        self.w.read(sink, proc, self.bodies.elem(other));
-                    }
-                    self.w.write(sink, proc, self.bodies.elem(i as u64));
+            Phase::Force => {
+                for walk in 0..params.cells_per_walk {
+                    // Walks are heavily biased towards the top of the tree,
+                    // which is what makes those pages read-shared by all
+                    // nodes.
+                    let cell = if walk < 4 {
+                        walk
+                    } else {
+                        rng.gen_range(0..params.cells)
+                    };
+                    out.read(self.cells.elem(cell));
                 }
-                self.state = advance_proc_phase(
-                    &mut self.w,
-                    sink,
-                    p,
-                    self.procs,
-                    |p| BarnesState::Force { step, p },
-                    || BarnesState::Update { step, p: 0 },
-                );
+                for _ in 0..params.neighbors_per_body {
+                    let other = rng.gen_range(0..params.bodies);
+                    out.read(self.bodies.elem(other));
+                }
+                out.write(self.bodies.elem(s.first_body + i));
             }
             // Phase 3: position update — private to each owner.
-            BarnesState::Update { step, p } => {
-                let proc = ProcId(p as u16);
-                for i in owned_range(params.bodies as usize, self.topology, proc) {
-                    self.w.read(sink, proc, self.bodies.elem(i as u64));
-                    self.w.write(sink, proc, self.bodies.elem(i as u64));
-                }
-                let timesteps = params.timesteps;
-                self.state = advance_proc_phase(
-                    &mut self.w,
-                    sink,
-                    p,
-                    self.procs,
-                    |p| BarnesState::Update { step, p },
-                    || {
-                        if step + 1 < timesteps {
-                            BarnesState::Build {
-                                step: step + 1,
-                                p: 0,
-                            }
-                        } else {
-                            BarnesState::Finish
-                        }
-                    },
-                );
-            }
-            BarnesState::Finish => {
-                self.w.finish(sink);
-                return false;
+            Phase::Update => {
+                let body = self.bodies.elem(s.first_body + i);
+                out.read(body);
+                out.write(body);
             }
         }
-        true
+    }
+
+    fn skip(&self, s: &BarnesSlice, _i: u64, rng: &mut SmallRng) {
+        let params = &self.params;
+        let draws = match s.phase {
+            Phase::Build => 4,
+            Phase::Force => params.cells_per_walk.saturating_sub(4) + params.neighbors_per_body,
+            Phase::Init | Phase::Update => 0,
+        };
+        for _ in 0..draws {
+            rng.next_u64();
+        }
     }
 }
 
@@ -232,11 +233,12 @@ impl Workload for Barnes {
     }
 
     fn emit(&self, cfg: &WorkloadConfig, sink: &mut dyn EventSink) {
-        crate::run_stepper(self.stepper(cfg), sink);
+        crate::emit_streams(self.generator(cfg), cfg, sink);
     }
 
-    fn stepper(&self, cfg: &WorkloadConfig) -> Box<dyn StepGenerator> {
-        Box::new(BarnesGen::new(cfg))
+    fn generator(&self, cfg: &WorkloadConfig) -> Box<dyn ProcGenerator> {
+        let program = BarnesProgram::new(cfg);
+        Box::new(ProcStreams::new(program, cfg.topology, cfg.think_cycles))
     }
 }
 

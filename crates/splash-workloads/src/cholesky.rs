@@ -16,14 +16,16 @@
 //!   where R-NUMA's relocation overhead lands on the critical path.
 
 use crate::config::{Scale, WorkloadConfig};
+use crate::program::{Draws, Emit, ProcStreams, Program};
 use crate::Workload;
-use mem_trace::{AddressSpace, EventSink, ProcId, Segment, StepGenerator, StepWriter};
+use mem_trace::{AddressSpace, EventSink, ProcGenerator, ProcId, Segment};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// Blocked sparse Cholesky factorization.
 pub struct Cholesky;
 
+#[derive(Clone)]
 struct CholeskyParams {
     /// Number of supernodes in the (synthetic) elimination tree.
     supernodes: u64,
@@ -62,40 +64,35 @@ impl CholeskyParams {
     }
 }
 
-/// Supernode panels initialised per load step (bounds each step's
-/// emission).
-const LOAD_CHUNK: u64 = 32;
-
-enum CholeskyState {
-    Load { from: u64 },
-    Factor { sn: u64 },
-    Finish,
-}
-
-struct CholeskyGen {
+#[derive(Clone)]
+struct CholeskyProgram {
     params: CholeskyParams,
     procs: u64,
+    seed: u64,
     panels: Segment,
     queue: Segment,
-    w: StepWriter,
-    rng: SmallRng,
-    state: CholeskyState,
 }
 
-impl CholeskyGen {
+/// One processor's slice: the matrix load (phase 0) or its dealt tasks
+/// (phase 1, supernodes `p`, `p + procs`, ...).
+#[derive(Clone, Copy)]
+struct CholeskySlice {
+    load: bool,
+    first_task: u64,
+}
+
+impl CholeskyProgram {
     fn new(cfg: &WorkloadConfig) -> Self {
         let params = CholeskyParams::for_scale(cfg.scale);
         let mut space = AddressSpace::new();
         let panels = space.alloc("panels", params.supernodes * params.lines_per_supernode, 64);
         let queue = space.alloc("task_queue", 64, 64);
-        CholeskyGen {
+        CholeskyProgram {
             params,
             procs: cfg.topology.total_procs() as u64,
+            seed: cfg.seed ^ 0xc401,
             panels,
             queue,
-            w: StepWriter::new(cfg.topology).with_think_cycles(cfg.think_cycles),
-            rng: SmallRng::seed_from_u64(cfg.seed ^ 0xc401),
-            state: CholeskyState::Load { from: 0 },
         }
     }
 
@@ -103,80 +100,104 @@ impl CholeskyGen {
         self.panels
             .elem(sn * self.params.lines_per_supernode + line)
     }
+
+    /// The supernode of item `i` of slice `s`.
+    fn task(&self, s: &CholeskySlice, i: u64) -> u64 {
+        s.first_task + i * self.procs
+    }
 }
 
-impl StepGenerator for CholeskyGen {
-    fn step(&mut self, sink: &mut dyn EventSink) -> bool {
-        match self.state {
-            // Processor 0 loads the sparse matrix: every panel page is
-            // homed on node 0 by first-touch.
-            CholeskyState::Load { from } => {
-                let to = (from + LOAD_CHUNK).min(self.params.supernodes);
-                for sn in from..to {
-                    for line in 0..self.params.lines_per_supernode {
-                        let addr = self.panel_line(sn, line);
-                        self.w.write(sink, ProcId(0), addr);
-                    }
-                }
-                if to < self.params.supernodes {
-                    self.state = CholeskyState::Load { from: to };
-                } else {
-                    self.w.barrier_all(sink);
-                    self.state = CholeskyState::Factor { sn: 0 };
-                }
+impl Program for CholeskyProgram {
+    type Slice = CholeskySlice;
+
+    fn phases(&self) -> usize {
+        2
+    }
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn draws(&self, ph: usize) -> Draws {
+        if ph == 0 {
+            Draws::None
+        } else {
+            Draws::Dealt
+        }
+    }
+
+    fn slice(&self, ph: usize, p: usize) -> (u64, CholeskySlice) {
+        let p = p as u64;
+        let supernodes = self.params.supernodes;
+        if ph == 0 {
+            // Processor 0 loads the whole matrix.
+            let panels = if p == 0 { supernodes } else { 0 };
+            let slice = CholeskySlice {
+                load: true,
+                first_task: 0,
+            };
+            return (panels, slice);
+        }
+        // Tasks are dealt round-robin to emulate self-scheduling.
+        let tasks = supernodes.saturating_sub(p).div_ceil(self.procs);
+        let slice = CholeskySlice {
+            load: false,
+            first_task: p,
+        };
+        (tasks, slice)
+    }
+
+    fn emit(&self, _p: ProcId, s: &CholeskySlice, i: u64, rng: &mut SmallRng, out: &mut Emit<'_>) {
+        // Phase 0: processor 0 loads the sparse matrix, one panel per item:
+        // every panel page is homed on node 0 by first-touch.
+        if s.load {
+            for line in 0..self.params.lines_per_supernode {
+                out.write(self.panel_line(i, line));
             }
-            // Task-queue driven factorization.  Tasks are dealt round-robin
-            // to emulate self-scheduling; each dequeue goes through the
-            // queue lock.
-            CholeskyState::Factor { sn } => {
-                let supernodes = self.params.supernodes;
-                let p = ProcId((sn % self.procs) as u16);
-                // Dequeue.
-                self.w.lock(sink, p, 0);
-                let q0 = self.queue.elem(0);
-                self.w.read(sink, p, q0);
-                self.w.write(sink, p, q0);
-                self.w.unlock(sink, p, 0);
+            return;
+        }
+        // Phase 1: task-queue driven factorization; each dequeue goes
+        // through the queue lock.
+        let supernodes = self.params.supernodes;
+        let sn = self.task(s, i);
+        out.lock(0);
+        let q0 = self.queue.elem(0);
+        out.read(q0);
+        out.write(q0);
+        out.unlock(0);
 
-                // Factor the supernode panel: read-modify-write every line
-                // once (streaming, no reuse).
-                for line in 0..self.params.lines_per_supernode {
-                    let addr = self.panel_line(sn, line);
-                    self.w.read(sink, p, addr);
-                    self.w.write(sink, p, addr);
-                }
+        // Factor the supernode panel: read-modify-write every line once
+        // (streaming, no reuse).
+        for line in 0..self.params.lines_per_supernode {
+            let addr = self.panel_line(sn, line);
+            out.read(addr);
+            out.write(addr);
+        }
 
-                // Update later columns selected by the (synthetic) sparsity
-                // pattern: reads of this panel, scattered writes into later
-                // panels.
-                for _ in 0..self.params.updates_per_supernode {
-                    if sn + 1 >= supernodes {
-                        break;
-                    }
-                    let target = sn + 1 + self.rng.gen_range(0..(supernodes - sn - 1)).min(64);
-                    for line in 0..self.params.lines_per_update {
-                        let src = self.rng.gen_range(0..self.params.lines_per_supernode);
-                        let src_addr = self.panel_line(sn, src);
-                        let tgt_addr = self.panel_line(target, line);
-                        self.w.read(sink, p, src_addr);
-                        self.w.read(sink, p, tgt_addr);
-                        self.w.write(sink, p, tgt_addr);
-                    }
-                }
-
-                if sn + 1 < supernodes {
-                    self.state = CholeskyState::Factor { sn: sn + 1 };
-                } else {
-                    self.w.barrier_all(sink);
-                    self.state = CholeskyState::Finish;
-                }
-            }
-            CholeskyState::Finish => {
-                self.w.finish(sink);
-                return false;
+        // Update later columns selected by the (synthetic) sparsity
+        // pattern: reads of this panel, scattered writes into later panels.
+        if sn + 1 >= supernodes {
+            return;
+        }
+        for _ in 0..self.params.updates_per_supernode {
+            let target = sn + 1 + rng.gen_range(0..(supernodes - sn - 1)).min(64);
+            for line in 0..self.params.lines_per_update {
+                let src = rng.gen_range(0..self.params.lines_per_supernode);
+                out.read(self.panel_line(sn, src));
+                let tgt_addr = self.panel_line(target, line);
+                out.read(tgt_addr);
+                out.write(tgt_addr);
             }
         }
-        true
+    }
+
+    fn skip(&self, s: &CholeskySlice, i: u64, rng: &mut SmallRng) {
+        if self.task(s, i) + 1 >= self.params.supernodes {
+            return;
+        }
+        for _ in 0..self.params.updates_per_supernode * (1 + self.params.lines_per_update) {
+            rng.next_u64();
+        }
     }
 }
 
@@ -198,11 +219,12 @@ impl Workload for Cholesky {
     }
 
     fn emit(&self, cfg: &WorkloadConfig, sink: &mut dyn EventSink) {
-        crate::run_stepper(self.stepper(cfg), sink);
+        crate::emit_streams(self.generator(cfg), cfg, sink);
     }
 
-    fn stepper(&self, cfg: &WorkloadConfig) -> Box<dyn StepGenerator> {
-        Box::new(CholeskyGen::new(cfg))
+    fn generator(&self, cfg: &WorkloadConfig) -> Box<dyn ProcGenerator> {
+        let program = CholeskyProgram::new(cfg);
+        Box::new(ProcStreams::new(program, cfg.topology, cfg.think_cycles))
     }
 }
 

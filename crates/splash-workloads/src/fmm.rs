@@ -12,15 +12,17 @@
 //! replications per node for fmm).
 
 use crate::config::{Scale, WorkloadConfig};
-use crate::util::{advance_proc_phase, owned_range};
+use crate::program::{Draws, Emit, ProcStreams, Program};
+use crate::util::owned_range;
 use crate::Workload;
-use mem_trace::{AddressSpace, EventSink, ProcId, Segment, StepGenerator, StepWriter, Topology};
+use mem_trace::{AddressSpace, EventSink, ProcGenerator, ProcId, Segment, Topology};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// Fast Multipole Method N-body simulation.
 pub struct Fmm;
 
+#[derive(Clone)]
 struct FmmParams {
     /// Number of spatial boxes.
     boxes: u64,
@@ -59,122 +61,125 @@ impl FmmParams {
     }
 }
 
-/// Boxes initialised per setup step (keeps each step's emission bounded).
-const SETUP_CHUNK: u64 = 256;
-
-enum FmmState {
-    Setup { from: u64 },
-    Compute { step: u64, p: usize },
-    Finish,
-}
-
-struct FmmGen {
+#[derive(Clone)]
+struct FmmProgram {
     params: FmmParams,
     topology: Topology,
-    procs: usize,
+    seed: u64,
     boxes: Segment,
-    w: StepWriter,
-    rng: SmallRng,
-    state: FmmState,
 }
 
-impl FmmGen {
+/// One processor's slice: the setup (phase 0) or one timestep over its
+/// owned boxes `first_box .. first_box + owned`.
+#[derive(Clone, Copy)]
+struct FmmSlice {
+    setup: bool,
+    first_box: u64,
+    owned: u64,
+}
+
+impl FmmProgram {
     fn new(cfg: &WorkloadConfig) -> Self {
         let params = FmmParams::for_scale(cfg.scale);
         let mut space = AddressSpace::new();
         let boxes = space.alloc("boxes", params.boxes * params.lines_per_box, 64);
-        FmmGen {
+        FmmProgram {
             params,
             topology: cfg.topology,
-            procs: cfg.topology.total_procs(),
+            seed: cfg.seed ^ 0xf33,
             boxes,
-            w: StepWriter::new(cfg.topology).with_think_cycles(cfg.think_cycles),
-            rng: SmallRng::seed_from_u64(cfg.seed ^ 0xf33),
-            state: FmmState::Setup { from: 0 },
         }
     }
 
     fn line_of(&self, box_id: u64, line: u64) -> mem_trace::GlobalAddr {
         self.boxes.elem(box_id * self.params.lines_per_box + line)
     }
+
+    /// The `i`-th interaction partner of box `box_id` in slice `s`: 80% of
+    /// the interaction list stays within the processor's own spatial
+    /// region, the rest spills to the neighbouring region.  How many draws
+    /// this takes depends on the first one.
+    fn neighbor(&self, s: &FmmSlice, box_id: u64, i: u64, rng: &mut SmallRng) -> u64 {
+        let (boxes, interactions) = (self.params.boxes, self.params.interactions);
+        if rng.gen_range(0..10) < 8 || s.owned == 0 {
+            s.first_box + rng.gen_range(0..s.owned.max(1))
+        } else {
+            (box_id + boxes + i - interactions / 2) % boxes
+        }
+    }
 }
 
-impl StepGenerator for FmmGen {
-    fn step(&mut self, sink: &mut dyn EventSink) -> bool {
-        match self.state {
-            // Sequential setup: processor 0 initialises every box, so every
-            // box page is first-touch homed on node 0.
-            FmmState::Setup { from } => {
-                let to = (from + SETUP_CHUNK).min(self.params.boxes);
-                for box_id in from..to {
-                    for line in 0..self.params.lines_per_box {
-                        let addr = self.line_of(box_id, line);
-                        self.w.write(sink, ProcId(0), addr);
-                    }
-                }
-                if to < self.params.boxes {
-                    self.state = FmmState::Setup { from: to };
-                } else {
-                    self.w.barrier_all(sink);
-                    self.state = FmmState::Compute { step: 0, p: 0 };
-                }
-            }
-            // Upward + interaction + downward passes, collapsed into one
-            // phase per box: read the interaction list (spatial neighbours,
-            // i.e. mostly boxes of the same owner), update own expansions.
-            FmmState::Compute { step, p } => {
-                let params_boxes = self.params.boxes;
-                let interactions = self.params.interactions;
-                let lines_per_box = self.params.lines_per_box;
-                let proc = ProcId(p as u16);
-                let owned = owned_range(params_boxes as usize, self.topology, proc);
-                let owned_len = owned.len() as u64;
-                for box_id in owned.clone() {
-                    let box_id = box_id as u64;
-                    for i in 0..interactions {
-                        // 80% of the interaction list stays within the
-                        // processor's own spatial region, the rest spills to
-                        // the neighbouring region.
-                        let neighbor = if self.rng.gen_range(0..10) < 8 || owned_len == 0 {
-                            owned.start as u64 + self.rng.gen_range(0..owned_len.max(1))
-                        } else {
-                            (box_id + params_boxes + i - interactions / 2) % params_boxes
-                        };
-                        let line = self.rng.gen_range(0..lines_per_box);
-                        let addr = self.line_of(neighbor, line);
-                        self.w.read(sink, proc, addr);
-                    }
-                    for line in 0..lines_per_box / 2 {
-                        let addr = self.line_of(box_id, line);
-                        self.w.read(sink, proc, addr);
-                        self.w.write(sink, proc, addr);
-                    }
-                }
-                let timesteps = self.params.timesteps;
-                self.state = advance_proc_phase(
-                    &mut self.w,
-                    sink,
-                    p,
-                    self.procs,
-                    |p| FmmState::Compute { step, p },
-                    || {
-                        if step + 1 < timesteps {
-                            FmmState::Compute {
-                                step: step + 1,
-                                p: 0,
-                            }
-                        } else {
-                            FmmState::Finish
-                        }
-                    },
-                );
-            }
-            FmmState::Finish => {
-                self.w.finish(sink);
-                return false;
-            }
+impl Program for FmmProgram {
+    type Slice = FmmSlice;
+
+    fn phases(&self) -> usize {
+        1 + self.params.timesteps as usize
+    }
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn draws(&self, ph: usize) -> Draws {
+        if ph == 0 {
+            Draws::None
+        } else {
+            Draws::ByProc
         }
-        true
+    }
+
+    fn slice(&self, ph: usize, p: usize) -> (u64, FmmSlice) {
+        if ph == 0 {
+            // Sequential setup: processor 0 initialises every box.
+            let boxes = if p == 0 { self.params.boxes } else { 0 };
+            let slice = FmmSlice {
+                setup: true,
+                first_box: 0,
+                owned: boxes,
+            };
+            return (boxes, slice);
+        }
+        let owned = owned_range(self.params.boxes as usize, self.topology, ProcId(p as u16));
+        let slice = FmmSlice {
+            setup: false,
+            first_box: owned.start as u64,
+            owned: owned.len() as u64,
+        };
+        (slice.owned, slice)
+    }
+
+    fn emit(&self, _p: ProcId, s: &FmmSlice, i: u64, rng: &mut SmallRng, out: &mut Emit<'_>) {
+        let lines_per_box = self.params.lines_per_box;
+        // Setup: processor 0 initialises every box, so every box page is
+        // first-touch homed on node 0.
+        if s.setup {
+            for line in 0..lines_per_box {
+                out.write(self.line_of(i, line));
+            }
+            return;
+        }
+        // Upward + interaction + downward passes, collapsed into one phase
+        // per box: read the interaction list (spatial neighbours, i.e.
+        // mostly boxes of the same owner), update own expansions.
+        let box_id = s.first_box + i;
+        for k in 0..self.params.interactions {
+            let neighbor = self.neighbor(s, box_id, k, rng);
+            let line = rng.gen_range(0..lines_per_box);
+            out.read(self.line_of(neighbor, line));
+        }
+        for line in 0..lines_per_box / 2 {
+            let addr = self.line_of(box_id, line);
+            out.read(addr);
+            out.write(addr);
+        }
+    }
+
+    fn skip(&self, s: &FmmSlice, i: u64, rng: &mut SmallRng) {
+        let box_id = s.first_box + i;
+        for k in 0..self.params.interactions {
+            self.neighbor(s, box_id, k, rng);
+            rng.next_u64();
+        }
     }
 }
 
@@ -196,11 +201,12 @@ impl Workload for Fmm {
     }
 
     fn emit(&self, cfg: &WorkloadConfig, sink: &mut dyn EventSink) {
-        crate::run_stepper(self.stepper(cfg), sink);
+        crate::emit_streams(self.generator(cfg), cfg, sink);
     }
 
-    fn stepper(&self, cfg: &WorkloadConfig) -> Box<dyn StepGenerator> {
-        Box::new(FmmGen::new(cfg))
+    fn generator(&self, cfg: &WorkloadConfig) -> Box<dyn ProcGenerator> {
+        let program = FmmProgram::new(cfg);
+        Box::new(ProcStreams::new(program, cfg.topology, cfg.think_cycles))
     }
 }
 

@@ -24,12 +24,17 @@
 //! ratios against perfect CC-NUMA on the same trace, the non-paper scales
 //! preserve the comparisons; EXPERIMENTS.md reports both.
 //!
-//! Every generator is a **resumable step-function**
-//! ([`Workload::stepper`]): each step emits one processor's slice of one
-//! phase.  All three trace deliveries drive the same stepper — materialized
-//! ([`Workload::generate`]), fused into the consumer's pull loop
-//! ([`fused`]) and streamed through a generator thread
-//! ([`stream_threaded`]) — so they are bit-identical by construction.
+//! Every generator is a **per-processor generator**
+//! ([`Workload::generator`]): it produces any one processor's stream on
+//! demand, a bounded slice at a time, without generating anything of the
+//! other processors.  The generators share one phase engine: a phase is a
+//! list of items per processor followed by a barrier, and the only coupling
+//! between processors — the generator's one random stream, drawn in the
+//! original program order — is resolved by a draw-only pass per phase that
+//! records where each processor's slice starts in it.  Both trace
+//! deliveries drive the same generator — materialized
+//! ([`Workload::generate`]) and fused into the consumer's pull loop
+//! ([`fused`]) — so they are bit-identical by construction.
 
 pub mod barnes;
 pub mod cholesky;
@@ -37,28 +42,27 @@ pub mod config;
 pub mod fmm;
 pub mod lu;
 pub mod ocean;
+mod program;
 pub mod radix;
 pub mod raytrace;
 mod util;
 
 pub use config::{CustomScale, Scale, WorkloadConfig};
+pub use program::FILL_EVENTS;
 
-use mem_trace::{
-    EventSink, FusedSource, ProcId, ProgramTrace, StepGenerator, ThreadedSource, TraceEvent,
-    TraceSource,
-};
+use mem_trace::{EventSink, FusedSource, ProcGenerator, ProgramTrace, TraceEvent};
 
 /// A workload that can generate a shared-memory reference trace.
 ///
-/// Generators are *producers* built around a resumable step-function:
-/// [`Workload::stepper`] returns a [`StepGenerator`] whose steps push the
-/// trace, event by event in program order, into any [`EventSink`].
-/// [`Workload::emit`] is required (for the Table 2 generators it is one
-/// line: [`run_stepper`] over their stepper); the default `stepper` falls
-/// back to materializing `emit`'s output and replaying it in fair chunks,
-/// so a straight-line custom workload only implements `emit` and still
-/// works through every pipeline.  All deliveries of a trace drive the same
-/// emission code, so they are bit-identical by construction.
+/// Generators are *per-processor producers*: [`Workload::generator`]
+/// returns a [`ProcGenerator`] that appends any processor's next events on
+/// demand.  [`Workload::emit`] is required (for the Table 2 generators it
+/// is one line: [`emit_streams`] over their generator); the default
+/// `generator` falls back to materializing `emit`'s output and serving it a
+/// slice at a time, so a straight-line custom workload only implements
+/// `emit` and still works through every pipeline.  All deliveries of a
+/// trace drive the same emission code, so they are bit-identical by
+/// construction.
 pub trait Workload: Send + Sync {
     /// Table 2 name (lowercase).
     fn name(&self) -> &'static str;
@@ -68,21 +72,20 @@ pub trait Workload: Send + Sync {
     fn paper_input(&self) -> &'static str;
     /// The reduced input parameters used by default in this reproduction.
     fn reduced_input(&self) -> &'static str;
-    /// Emit the trace into `sink`, event by event in program order
-    /// (including the per-processor end-of-stream markers).
+    /// Emit the trace into `sink`, each processor's events in its program
+    /// order (including the per-processor end-of-stream markers).
     fn emit(&self, cfg: &WorkloadConfig, sink: &mut dyn EventSink);
-    /// Build the resumable generator for `cfg`.
+    /// Build the per-processor generator for `cfg`.
     ///
-    /// The default materializes [`Workload::emit`] up front and replays it
-    /// in fair round-robin chunks — correct for any workload, but the
-    /// bounded-memory property of the fused/threaded pipelines then only
-    /// holds for traces that fit in memory anyway.  The seven Table 2
-    /// generators all implement this directly (and derive `emit` from it
-    /// via [`run_stepper`]).
-    fn stepper(&self, cfg: &WorkloadConfig) -> Box<dyn StepGenerator> {
+    /// The default materializes [`Workload::emit`] up front and serves it a
+    /// slice at a time — correct for any workload, but the bounded-memory
+    /// property of the fused pipeline then only holds for traces that fit
+    /// in memory anyway.  The seven Table 2 generators all implement this
+    /// directly (and derive `emit` from it via [`emit_streams`]).
+    fn generator(&self, cfg: &WorkloadConfig) -> Box<dyn ProcGenerator> {
         let mut per_proc: Vec<Vec<TraceEvent>> = vec![Vec::new(); cfg.topology.total_procs()];
         self.emit(cfg, &mut per_proc);
-        Box::new(ReplaySteps::new(per_proc))
+        Box::new(program::Materialized::new(per_proc))
     }
     /// Generate the whole trace in memory.
     fn generate(&self, cfg: &WorkloadConfig) -> ProgramTrace {
@@ -92,88 +95,36 @@ pub trait Workload: Send + Sync {
     }
 }
 
-/// Drive a step generator to completion against `sink` — how the Table 2
-/// generators implement [`Workload::emit`] in terms of their stepper.
-pub fn run_stepper(mut stepper: Box<dyn StepGenerator>, sink: &mut dyn EventSink) {
-    while stepper.step(sink) {}
-}
-
-/// The fallback stepper behind the default [`Workload::stepper`]: replays
-/// pre-materialized per-processor streams in fair round-robin chunks, with
-/// end-of-stream markers as each stream drains.
-struct ReplaySteps {
-    per_proc: Vec<Vec<TraceEvent>>,
-    pos: Vec<usize>,
-    next: usize,
-}
-
-/// Events per processor per [`ReplaySteps`] step: small enough that the
-/// demux window stays a rounding error, big enough to amortize dispatch.
-const REPLAY_CHUNK: usize = 256;
-
-impl ReplaySteps {
-    fn new(per_proc: Vec<Vec<TraceEvent>>) -> Self {
-        let procs = per_proc.len();
-        ReplaySteps {
-            per_proc,
-            pos: vec![0; procs],
-            next: 0,
+/// Drain `generator` into `sink` processor by processor, each stream
+/// followed by its end-of-stream marker — how the Table 2 generators
+/// implement [`Workload::emit`] in terms of their generator.
+pub fn emit_streams(
+    mut generator: Box<dyn ProcGenerator>,
+    cfg: &WorkloadConfig,
+    sink: &mut dyn EventSink,
+) {
+    let mut slice = Vec::with_capacity(FILL_EVENTS);
+    for proc in cfg.topology.proc_ids() {
+        while generator.fill(proc, &mut slice) > 0 {
+            for ev in slice.drain(..) {
+                sink.event(proc, ev);
+            }
         }
+        sink.end_of_stream(proc);
     }
 }
 
-impl StepGenerator for ReplaySteps {
-    fn step(&mut self, sink: &mut dyn EventSink) -> bool {
-        let procs = self.per_proc.len();
-        for _ in 0..procs {
-            let p = self.next;
-            self.next = (self.next + 1) % procs;
-            let events = &self.per_proc[p];
-            if self.pos[p] >= events.len() {
-                continue;
-            }
-            let end = (self.pos[p] + REPLAY_CHUNK).min(events.len());
-            for ev in &events[self.pos[p]..end] {
-                sink.event(ProcId(p as u16), *ev);
-            }
-            self.pos[p] = end;
-            if end == events.len() {
-                sink.end_of_stream(ProcId(p as u16));
-            }
-            return true;
-        }
-        false
-    }
-}
-
-/// Run `workload`'s generator *inside* the consumer's pull loop: no thread,
-/// no channel, no batch copies.  The right source when producer and
-/// consumer share a core — the common experiment case where every worker
-/// thread runs one simulation.
+/// Run `workload`'s per-processor generator *inside* the consumer's pull
+/// loop: each processor's events are generated when that processor is
+/// pulled, with no thread, no channel and nothing parked.
 pub fn fused(workload: &dyn Workload, cfg: &WorkloadConfig) -> FusedSource {
-    FusedSource::new(workload.name(), cfg.topology, workload.stepper(cfg))
+    FusedSource::new(workload.name(), cfg.topology, workload.generator(cfg))
 }
 
-/// Run `workload`'s generator on its own thread behind a bounded channel,
-/// overlapping generation with the consumer's work when a spare core is
-/// available.  Yields the exact event sequences [`fused`] and
-/// [`Workload::generate`] would produce.
-pub fn stream_threaded(workload: Box<dyn Workload>, cfg: WorkloadConfig) -> ThreadedSource {
-    let name = workload.name();
-    ThreadedSource::spawn(name, cfg.topology, move |sink| workload.emit(&cfg, sink))
-}
-
-/// Stream `workload`'s trace with bounded memory, picking the pipeline
-/// automatically: [`fused`] when this process has no spare core to overlap
-/// generation on, [`stream_threaded`] otherwise.  Either way the event
-/// sequences (and any simulation driven by them) are bit-identical.
-pub fn stream(workload: Box<dyn Workload>, cfg: WorkloadConfig) -> Box<dyn TraceSource + Send> {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cores > 1 {
-        Box::new(stream_threaded(workload, cfg))
-    } else {
-        Box::new(fused(&*workload, &cfg))
-    }
+/// [`fused`] for a caller holding the workload by value: the same source,
+/// the same streams.
+pub fn stream(workload: Box<dyn Workload>, cfg: WorkloadConfig) -> FusedSource {
+    fused(&*workload, &cfg)
 }
 
 /// All seven workloads in Table 2 order.
@@ -202,6 +153,7 @@ pub fn names() -> Vec<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mem_trace::ProcId;
 
     #[test]
     fn catalog_matches_table_2() {
@@ -269,67 +221,58 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_threaded_events_match_materialized_generation() {
+    fn fused_events_match_materialized_generation() {
+        use mem_trace::TraceSource;
         let cfg = WorkloadConfig::reduced_for_tests();
         for w in catalog() {
             let trace = w.generate(&cfg);
-            let mut sources: Vec<(&str, Box<dyn TraceSource + Send>)> = vec![
-                ("fused", Box::new(fused(w.as_ref(), &cfg))),
-                (
-                    "threaded",
-                    Box::new(stream_threaded(by_name(w.name()).unwrap(), cfg)),
-                ),
-            ];
-            for (mode, src) in &mut sources {
-                assert_eq!(src.name(), w.name());
-                for p in cfg.topology.proc_ids() {
-                    let mut got = Vec::with_capacity(trace.per_proc[p.index()].len());
-                    while let Some(ev) = src.next_event(p) {
-                        got.push(ev);
-                    }
-                    assert_eq!(
-                        got,
-                        trace.per_proc[p.index()],
-                        "{} {mode} stream diverged for {p:?}",
-                        w.name()
-                    );
+            let mut src = fused(w.as_ref(), &cfg);
+            assert_eq!(src.name(), w.name());
+            for p in cfg.topology.proc_ids() {
+                let mut got = Vec::with_capacity(trace.per_proc[p.index()].len());
+                while let Some(ev) = src.next_event(p) {
+                    got.push(ev);
                 }
                 assert_eq!(
-                    src.stats_so_far(),
-                    trace.stats(),
-                    "{} {mode} incremental stats diverged from batch stats",
+                    got,
+                    trace.per_proc[p.index()],
+                    "{} fused stream diverged for {p:?}",
                     w.name()
                 );
-                assert!(src.take_error().is_none());
             }
+            assert_eq!(
+                src.stats_so_far(),
+                trace.stats(),
+                "{} fused stats diverged from batch stats",
+                w.name()
+            );
+            assert!(src.take_error().is_none());
         }
     }
 
     #[test]
     fn end_markers_make_exhaustion_windows_free() {
-        // After a workload's final barrier every processor's end marker is
-        // already emitted, so fully draining one processor parks at most
-        // the phase skew — not the rest of every other stream.
+        // A processor's stream is generated where it is pulled: fully
+        // draining one processor and asking whether it is done generates
+        // nothing of any other processor.
+        use mem_trace::TraceSource;
         let cfg = WorkloadConfig::reduced_for_tests();
-        let w = by_name("ocean").unwrap();
-        let trace = w.generate(&cfg);
-        let mut src = fused(w.as_ref(), &cfg);
-        let p0 = ProcId(0);
-        while src.next_event(p0).is_some() {}
-        assert!(src.exhausted(p0));
-        let parked = src.buffered_events();
-        let total: usize = trace.per_proc.iter().map(Vec::len).sum();
-        assert!(
-            parked < total,
-            "draining one proc buffered the whole trace ({parked} of {total})"
-        );
-        assert!(src.take_error().is_none());
+        for w in catalog() {
+            let mut src = fused(w.as_ref(), &cfg);
+            let p0 = ProcId(0);
+            while src.next_event(p0).is_some() {}
+            assert!(src.exhausted(p0));
+            assert_eq!(src.buffered_events(), 0, "{} parked events", w.name());
+            assert!(src.take_error().is_none());
+        }
     }
 
     #[test]
     fn default_stepper_fallback_replays_custom_workloads() {
         // A workload that only implements `emit` still works through the
-        // fused pipeline via the materialize-and-replay fallback.
+        // fused pipeline via the default generator, which materializes it
+        // and serves it per processor.
+        use mem_trace::TraceSource;
         struct EmitOnly;
         impl Workload for EmitOnly {
             fn name(&self) -> &'static str {
@@ -356,13 +299,14 @@ mod tests {
         let cfg = WorkloadConfig::reduced_for_tests().with_topology(mem_trace::Topology::new(2, 2));
         let trace = EmitOnly.generate(&cfg);
         let mut src = fused(&EmitOnly, &cfg);
-        for p in cfg.topology.proc_ids() {
+        for p in (0..cfg.topology.total_procs() as u16).rev().map(ProcId) {
             let mut got = Vec::new();
             while let Some(ev) = src.next_event(p) {
                 got.push(ev);
             }
             assert_eq!(got, trace.per_proc[p.index()]);
         }
+        assert_eq!(src.stats_so_far(), trace.stats());
     }
 
     #[test]

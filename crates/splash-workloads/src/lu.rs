@@ -19,8 +19,10 @@
 //! Blocks are assigned to processors in a 2-D scatter, as in SPLASH-2.
 
 use crate::config::{Scale, WorkloadConfig};
+use crate::program::{Draws, Emit, ProcStreams, Program};
 use crate::Workload;
-use mem_trace::{AddressSpace, EventSink, ProcId, Segment, StepGenerator, StepWriter, BLOCK_SIZE};
+use mem_trace::{AddressSpace, EventSink, ProcGenerator, ProcId, Segment, BLOCK_SIZE};
+use rand::rngs::SmallRng;
 
 /// Blocked dense LU factorization.
 pub struct Lu;
@@ -28,6 +30,7 @@ pub struct Lu;
 /// Elements (doubles) per cache line.
 const DOUBLES_PER_LINE: u64 = BLOCK_SIZE / 8;
 
+#[derive(Clone)]
 struct LuParams {
     /// Matrix dimension (elements).
     n: u64,
@@ -55,36 +58,42 @@ impl LuParams {
     }
 }
 
-enum LuState {
-    Init { bi: u64 },
-    Diag { k: u64 },
-    Perim { k: u64, i: u64 },
-    Interior { k: u64, i: u64 },
-    Finish,
+/// The lu phases: initialization, then per elimination step `k` the
+/// diagonal block, the perimeter blocks and the interior blocks.
+#[derive(Clone, Copy)]
+enum Phase {
+    Init,
+    Diag,
+    Perim,
+    Interior,
 }
 
-struct LuGen {
+#[derive(Clone)]
+struct LuProgram {
     params: LuParams,
     nb: u64,
     total_procs: u64,
     matrix: Segment,
-    w: StepWriter,
-    state: LuState,
 }
 
-impl LuGen {
+/// One processor's slice of a phase of elimination step `k`.
+#[derive(Clone, Copy)]
+struct LuSlice {
+    phase: Phase,
+    k: u64,
+}
+
+impl LuProgram {
     fn new(cfg: &WorkloadConfig) -> Self {
         let params = LuParams::for_scale(cfg.scale);
         let nb = params.blocks_per_dim();
         let mut space = AddressSpace::new();
         let matrix = space.alloc("matrix", params.n * params.n, 8);
-        LuGen {
+        LuProgram {
             params,
             nb,
             total_procs: cfg.topology.total_procs() as u64,
             matrix,
-            w: StepWriter::new(cfg.topology).with_think_cycles(cfg.think_cycles),
-            state: LuState::Init { bi: 0 },
         }
     }
 
@@ -93,109 +102,120 @@ impl LuGen {
         ProcId(((bi * self.nb + bj) % self.total_procs) as u16)
     }
 
+    /// The blocks `(bi, bj)`, `bj` in `from..nb`, that `p` owns, in order.
+    fn owned_in_row(&self, p: ProcId, bi: u64, from: u64) -> impl Iterator<Item = u64> {
+        let first = first_dealt(bi * self.nb, from, self.total_procs, u64::from(p.0));
+        (first..self.nb).step_by(self.total_procs as usize)
+    }
+
     /// Visit the first address of every cache line of block `(bi, bj)` of
     /// the row-major `n x n` matrix.
-    fn for_each_line<F: FnMut(&mut StepWriter, mem_trace::GlobalAddr)>(
-        &mut self,
-        bi: u64,
-        bj: u64,
-        mut f: F,
-    ) {
+    fn for_each_line(&self, bi: u64, bj: u64, mut f: impl FnMut(mem_trace::GlobalAddr)) {
         let row0 = bi * self.params.block;
         let col0 = bj * self.params.block;
         for r in 0..self.params.block {
             let mut c = 0;
             while c < self.params.block {
-                let addr = self.matrix.elem2(row0 + r, col0 + c, self.params.n);
-                f(&mut self.w, addr);
+                f(self.matrix.elem2(row0 + r, col0 + c, self.params.n));
                 c += DOUBLES_PER_LINE;
             }
         }
     }
 
     /// Read every cache line of block `(bi, bj)`.
-    fn read_block(&mut self, sink: &mut dyn EventSink, p: ProcId, bi: u64, bj: u64) {
-        self.for_each_line(bi, bj, |w, addr| w.read(sink, p, addr));
+    fn read_block(&self, out: &mut Emit<'_>, bi: u64, bj: u64) {
+        self.for_each_line(bi, bj, |addr| out.read(addr));
     }
 
     /// Read-modify-write every cache line of block `(bi, bj)`.
-    fn touch_block(&mut self, sink: &mut dyn EventSink, p: ProcId, bi: u64, bj: u64) {
-        self.for_each_line(bi, bj, |w, addr| {
-            w.read(sink, p, addr);
-            w.write(sink, p, addr);
+    fn touch_block(&self, out: &mut Emit<'_>, bi: u64, bj: u64) {
+        self.for_each_line(bi, bj, |addr| {
+            out.read(addr);
+            out.write(addr);
         });
     }
 }
 
-impl StepGenerator for LuGen {
-    fn step(&mut self, sink: &mut dyn EventSink) -> bool {
-        let nb = self.nb;
-        match self.state {
+/// The first index `j >= lo` with `(base + j) % procs == p`: where a
+/// processor's items start in a sequence dealt round-robin from `base`.
+fn first_dealt(base: u64, lo: u64, procs: u64, p: u64) -> u64 {
+    let r = (base + lo) % procs;
+    lo + (p + procs - r) % procs
+}
+
+impl Program for LuProgram {
+    type Slice = LuSlice;
+
+    fn phases(&self) -> usize {
+        1 + 3 * self.nb as usize
+    }
+
+    fn seed(&self) -> u64 {
+        0
+    }
+
+    fn draws(&self, _ph: usize) -> Draws {
+        Draws::None
+    }
+
+    fn slice(&self, ph: usize, p: usize) -> (u64, LuSlice) {
+        if ph == 0 {
+            let slice = LuSlice {
+                phase: Phase::Init,
+                k: 0,
+            };
+            return (self.nb, slice);
+        }
+        let k = (ph as u64 - 1) / 3;
+        let phase = [Phase::Diag, Phase::Perim, Phase::Interior][(ph - 1) % 3];
+        let items = match phase {
+            Phase::Diag => u64::from(usize::from(self.owner(k, k).0) == p),
+            _ => self.nb - k - 1,
+        };
+        (items, LuSlice { phase, k })
+    }
+
+    fn emit(&self, p: ProcId, s: &LuSlice, i: u64, _rng: &mut SmallRng, out: &mut Emit<'_>) {
+        let k = s.k;
+        match s.phase {
             // Initialization: every owner touches (writes) its own blocks
-            // so the first-touch policy places pages at their owners.
-            LuState::Init { bi } => {
-                for bj in 0..nb {
-                    let p = self.owner(bi, bj);
-                    self.touch_block(sink, p, bi, bj);
-                }
-                if bi + 1 < nb {
-                    self.state = LuState::Init { bi: bi + 1 };
-                } else {
-                    self.w.barrier_all(sink);
-                    self.state = LuState::Diag { k: 0 };
+            // so the first-touch policy places pages at their owners.  One
+            // item per block row.
+            Phase::Init => {
+                for bj in self.owned_in_row(p, i, 0) {
+                    self.touch_block(out, i, bj);
                 }
             }
             // Phase 1: factor the diagonal block.
-            LuState::Diag { k } => {
-                let p = self.owner(k, k);
-                self.touch_block(sink, p, k, k);
-                self.w.barrier_all(sink);
-                self.state = LuState::Perim { k, i: k + 1 };
-            }
+            Phase::Diag => self.touch_block(out, k, k),
             // Phase 2: perimeter blocks read the diagonal block and update
-            // themselves.
-            LuState::Perim { k, i } => {
-                if i < nb {
-                    let p = self.owner(i, k);
-                    self.read_block(sink, p, k, k);
-                    self.touch_block(sink, p, i, k);
-
-                    let q = self.owner(k, i);
-                    self.read_block(sink, q, k, k);
-                    self.touch_block(sink, q, k, i);
-                    self.state = LuState::Perim { k, i: i + 1 };
-                } else {
-                    self.w.barrier_all(sink);
-                    self.state = LuState::Interior { k, i: k + 1 };
+            // themselves.  One item per perimeter index.
+            Phase::Perim => {
+                let i = k + 1 + i;
+                if self.owner(i, k) == p {
+                    self.read_block(out, k, k);
+                    self.touch_block(out, i, k);
+                }
+                if self.owner(k, i) == p {
+                    self.read_block(out, k, k);
+                    self.touch_block(out, k, i);
                 }
             }
             // Phase 3: interior blocks read the two perimeter blocks — the
-            // read-shared phase — and update themselves.
-            LuState::Interior { k, i } => {
-                if i < nb {
-                    for j in (k + 1)..nb {
-                        let p = self.owner(i, j);
-                        self.read_block(sink, p, i, k);
-                        self.read_block(sink, p, k, j);
-                        self.touch_block(sink, p, i, j);
-                    }
-                    self.state = LuState::Interior { k, i: i + 1 };
-                } else {
-                    self.w.barrier_all(sink);
-                    self.state = if k + 1 < nb {
-                        LuState::Diag { k: k + 1 }
-                    } else {
-                        LuState::Finish
-                    };
+            // read-shared phase — and update themselves.  One item per
+            // interior block row.
+            Phase::Interior => {
+                let i = k + 1 + i;
+                for j in self.owned_in_row(p, i, k + 1) {
+                    self.read_block(out, i, k);
+                    self.read_block(out, k, j);
+                    self.touch_block(out, i, j);
                 }
             }
-            LuState::Finish => {
-                self.w.finish(sink);
-                return false;
-            }
         }
-        true
     }
+
+    fn skip(&self, _s: &LuSlice, _i: u64, _rng: &mut SmallRng) {}
 }
 
 impl Workload for Lu {
@@ -216,11 +236,12 @@ impl Workload for Lu {
     }
 
     fn emit(&self, cfg: &WorkloadConfig, sink: &mut dyn EventSink) {
-        crate::run_stepper(self.stepper(cfg), sink);
+        crate::emit_streams(self.generator(cfg), cfg, sink);
     }
 
-    fn stepper(&self, cfg: &WorkloadConfig) -> Box<dyn StepGenerator> {
-        Box::new(LuGen::new(cfg))
+    fn generator(&self, cfg: &WorkloadConfig) -> Box<dyn ProcGenerator> {
+        let program = LuProgram::new(cfg);
+        Box::new(ProcStreams::new(program, cfg.topology, cfg.think_cycles))
     }
 }
 

@@ -12,13 +12,16 @@
 //! absorb the capacity misses on each node's own (large) band.
 
 use crate::config::{Scale, WorkloadConfig};
-use crate::util::{advance_proc_phase, owned_range};
+use crate::program::{Draws, Emit, ProcStreams, Program};
+use crate::util::owned_range;
 use crate::Workload;
-use mem_trace::{AddressSpace, EventSink, ProcId, Segment, StepGenerator, StepWriter, Topology};
+use mem_trace::{AddressSpace, EventSink, ProcGenerator, ProcId, Segment, Topology};
+use rand::rngs::SmallRng;
 
 /// Ocean simulation (stencil relaxation kernel).
 pub struct Ocean;
 
+#[derive(Clone)]
 struct OceanParams {
     /// Grid dimension (points per side).
     n: u64,
@@ -45,23 +48,23 @@ impl OceanParams {
     }
 }
 
-enum OceanState {
-    Init { p: usize },
-    Sweep { sweep: u64, p: usize },
-    Finish,
-}
-
-struct OceanGen {
+#[derive(Clone)]
+struct OceanProgram {
     params: OceanParams,
     topology: Topology,
-    procs: usize,
     grid: Segment,
     rhs: Segment,
-    w: StepWriter,
-    state: OceanState,
 }
 
-impl OceanGen {
+/// One processor's slice: its band of rows, for initialization (phase 0)
+/// or one sweep.
+#[derive(Clone, Copy)]
+struct OceanSlice {
+    init: bool,
+    first_row: u64,
+}
+
+impl OceanProgram {
     fn new(cfg: &WorkloadConfig) -> Self {
         let params = OceanParams::for_scale(cfg.scale);
         let n = params.n;
@@ -71,93 +74,71 @@ impl OceanGen {
         // multigrid arrays of the original program.
         let grid = space.alloc("grid", n * n, 8);
         let rhs = space.alloc("rhs", n * n, 8);
-        OceanGen {
+        OceanProgram {
             params,
             topology: cfg.topology,
-            procs: cfg.topology.total_procs(),
             grid,
             rhs,
-            w: StepWriter::new(cfg.topology).with_think_cycles(cfg.think_cycles),
-            state: OceanState::Init { p: 0 },
         }
     }
 }
 
-impl StepGenerator for OceanGen {
-    fn step(&mut self, sink: &mut dyn EventSink) -> bool {
-        let n = self.params.n;
-        match self.state {
-            // Initialization: every processor writes its own band of both
-            // grids so first-touch places the pages on the owner's node.
-            OceanState::Init { p } => {
-                let proc = ProcId(p as u16);
-                let band = owned_range(n as usize, self.topology, proc);
-                for row in band {
-                    let mut col = 0u64;
-                    while col < n {
-                        self.w
-                            .write(sink, proc, self.grid.elem2(row as u64, col, n));
-                        self.w.write(sink, proc, self.rhs.elem2(row as u64, col, n));
-                        col += 8; // one cache line of doubles
-                    }
-                }
-                self.state = advance_proc_phase(
-                    &mut self.w,
-                    sink,
-                    p,
-                    self.procs,
-                    |p| OceanState::Init { p },
-                    || OceanState::Sweep { sweep: 0, p: 0 },
-                );
-            }
-            OceanState::Sweep { sweep, p } => {
-                let proc = ProcId(p as u16);
-                let band = owned_range(n as usize, self.topology, proc);
-                for row in band {
-                    let row = row as u64;
-                    if row == 0 || row == n - 1 {
-                        continue; // fixed boundary
-                    }
-                    let mut col = 8u64;
-                    while col < n - 1 {
-                        // Five-point stencil at line granularity: the north
-                        // and south neighbours live in adjacent rows (the
-                        // first/last rows of a band are remote), east/west
-                        // are in the same cache line.
-                        self.w.read(sink, proc, self.grid.elem2(row - 1, col, n));
-                        self.w.read(sink, proc, self.grid.elem2(row + 1, col, n));
-                        self.w.read(sink, proc, self.grid.elem2(row, col, n));
-                        self.w.read(sink, proc, self.rhs.elem2(row, col, n));
-                        self.w.write(sink, proc, self.grid.elem2(row, col, n));
-                        col += 8;
-                    }
-                }
-                let sweeps = self.params.sweeps;
-                self.state = advance_proc_phase(
-                    &mut self.w,
-                    sink,
-                    p,
-                    self.procs,
-                    |p| OceanState::Sweep { sweep, p },
-                    || {
-                        if sweep + 1 < sweeps {
-                            OceanState::Sweep {
-                                sweep: sweep + 1,
-                                p: 0,
-                            }
-                        } else {
-                            OceanState::Finish
-                        }
-                    },
-                );
-            }
-            OceanState::Finish => {
-                self.w.finish(sink);
-                return false;
-            }
-        }
-        true
+impl Program for OceanProgram {
+    type Slice = OceanSlice;
+
+    fn phases(&self) -> usize {
+        1 + self.params.sweeps as usize
     }
+
+    fn seed(&self) -> u64 {
+        0
+    }
+
+    fn draws(&self, _ph: usize) -> Draws {
+        Draws::None
+    }
+
+    fn slice(&self, ph: usize, p: usize) -> (u64, OceanSlice) {
+        let band = owned_range(self.params.n as usize, self.topology, ProcId(p as u16));
+        let slice = OceanSlice {
+            init: ph == 0,
+            first_row: band.start as u64,
+        };
+        (band.len() as u64, slice)
+    }
+
+    fn emit(&self, _p: ProcId, s: &OceanSlice, i: u64, _rng: &mut SmallRng, out: &mut Emit<'_>) {
+        let n = self.params.n;
+        let row = s.first_row + i;
+        // Initialization: every processor writes its own band of both grids
+        // so first-touch places the pages on the owner's node.
+        if s.init {
+            let mut col = 0u64;
+            while col < n {
+                out.write(self.grid.elem2(row, col, n));
+                out.write(self.rhs.elem2(row, col, n));
+                col += 8; // one cache line of doubles
+            }
+            return;
+        }
+        if row == 0 || row == n - 1 {
+            return; // fixed boundary
+        }
+        let mut col = 8u64;
+        while col < n - 1 {
+            // Five-point stencil at line granularity: the north and south
+            // neighbours live in adjacent rows (the first/last rows of a
+            // band are remote), east/west are in the same cache line.
+            out.read(self.grid.elem2(row - 1, col, n));
+            out.read(self.grid.elem2(row + 1, col, n));
+            out.read(self.grid.elem2(row, col, n));
+            out.read(self.rhs.elem2(row, col, n));
+            out.write(self.grid.elem2(row, col, n));
+            col += 8;
+        }
+    }
+
+    fn skip(&self, _s: &OceanSlice, _i: u64, _rng: &mut SmallRng) {}
 }
 
 impl Workload for Ocean {
@@ -178,11 +159,12 @@ impl Workload for Ocean {
     }
 
     fn emit(&self, cfg: &WorkloadConfig, sink: &mut dyn EventSink) {
-        crate::run_stepper(self.stepper(cfg), sink);
+        crate::emit_streams(self.generator(cfg), cfg, sink);
     }
 
-    fn stepper(&self, cfg: &WorkloadConfig) -> Box<dyn StepGenerator> {
-        Box::new(OceanGen::new(cfg))
+    fn generator(&self, cfg: &WorkloadConfig) -> Box<dyn ProcGenerator> {
+        let program = OceanProgram::new(cfg);
+        Box::new(ProcStreams::new(program, cfg.topology, cfg.think_cycles))
     }
 }
 

@@ -13,15 +13,17 @@
 //! destination keys exceeds it.
 
 use crate::config::{Scale, WorkloadConfig};
-use crate::util::{advance_proc_phase, owned_range};
+use crate::program::{Draws, Emit, ProcStreams, Program};
+use crate::util::owned_range;
 use crate::Workload;
-use mem_trace::{AddressSpace, EventSink, ProcId, Segment, StepGenerator, StepWriter, Topology};
+use mem_trace::{AddressSpace, EventSink, ProcGenerator, ProcId, Segment, Topology};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// Parallel integer radix sort.
 pub struct Radix;
 
+#[derive(Clone)]
 struct RadixParams {
     /// Number of keys.
     keys: u64,
@@ -58,31 +60,38 @@ impl RadixParams {
 /// Keys per cache line (4-byte integers).
 const KEYS_PER_LINE: u64 = 16;
 
-/// Where the resumable generator is in the radix phase structure.  Each
-/// step emits one processor's slice of one phase; the step that completes a
-/// phase also emits its barrier, so the global emission order is exactly
-/// the straight-line generator's.
-enum RadixState {
-    Init { p: usize },
-    Hist { pass: u64, p: usize },
-    Rank { pass: u64, p: usize },
-    Perm { pass: u64, p: usize },
-    Finish,
+/// The radix phases: initialization, then per pass a local histogram, the
+/// global rank computation and the permutation.
+#[derive(Clone, Copy)]
+enum Phase {
+    Init,
+    Hist,
+    Rank,
+    Perm,
 }
 
-struct RadixGen {
+#[derive(Clone)]
+struct RadixProgram {
     params: RadixParams,
     topology: Topology,
     procs: usize,
+    seed: u64,
     src: Segment,
     dst: Segment,
     histograms: Segment,
-    w: StepWriter,
-    rng: SmallRng,
-    state: RadixState,
 }
 
-impl RadixGen {
+/// One processor's slice of a phase.
+#[derive(Clone, Copy)]
+struct RadixSlice {
+    phase: Phase,
+    /// First key of the processor's chunk.
+    first_key: u64,
+    /// First bin of the processor's histogram.
+    hist_base: u64,
+}
+
+impl RadixProgram {
     fn new(cfg: &WorkloadConfig) -> Self {
         let params = RadixParams::for_scale(cfg.scale);
         let procs = cfg.topology.total_procs();
@@ -92,129 +101,108 @@ impl RadixGen {
         let dst = space.alloc("keys_dst", params.keys, 4);
         let histograms = space.alloc("histograms", params.radix * procs as u64, 4);
 
-        RadixGen {
+        RadixProgram {
             params,
             topology: cfg.topology,
             procs,
+            seed: cfg.seed ^ 0x5ad1,
             src,
             dst,
             histograms,
-            w: StepWriter::new(cfg.topology).with_think_cycles(cfg.think_cycles),
-            rng: SmallRng::seed_from_u64(cfg.seed ^ 0x5ad1),
-            state: RadixState::Init { p: 0 },
+        }
+    }
+
+    fn phase(&self, ph: usize) -> Phase {
+        match ph {
+            0 => Phase::Init,
+            _ => [Phase::Hist, Phase::Rank, Phase::Perm][(ph - 1) % 3],
         }
     }
 }
 
-impl StepGenerator for RadixGen {
-    fn step(&mut self, sink: &mut dyn EventSink) -> bool {
+impl Program for RadixProgram {
+    type Slice = RadixSlice;
+
+    fn phases(&self) -> usize {
+        1 + 3 * self.params.passes as usize
+    }
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn draws(&self, ph: usize) -> Draws {
+        match self.phase(ph) {
+            Phase::Hist | Phase::Perm => Draws::ByProc,
+            Phase::Init | Phase::Rank => Draws::None,
+        }
+    }
+
+    fn slice(&self, ph: usize, p: usize) -> (u64, RadixSlice) {
+        let phase = self.phase(ph);
+        let keys = owned_range(self.params.keys as usize, self.topology, ProcId(p as u16));
+        let slice = RadixSlice {
+            phase,
+            first_key: keys.start as u64,
+            hist_base: self.params.radix * p as u64,
+        };
+        let items = match phase {
+            // Every processor reads every processor's histogram.
+            Phase::Rank => self.procs as u64,
+            // One item per cache line of the owned chunk.
+            _ => (keys.len() as u64).div_ceil(KEYS_PER_LINE),
+        };
+        (items, slice)
+    }
+
+    fn emit(&self, _p: ProcId, s: &RadixSlice, i: u64, rng: &mut SmallRng, out: &mut Emit<'_>) {
         let params = &self.params;
-        match self.state {
+        let k = s.first_key + i * KEYS_PER_LINE;
+        match s.phase {
             // Initialization: each processor writes its own chunk of the
             // source array (first-touch places it locally).
-            RadixState::Init { p } => {
-                let proc = ProcId(p as u16);
-                let range = owned_range(params.keys as usize, self.topology, proc);
-                let mut k = range.start as u64;
-                while k < range.end as u64 {
-                    self.w.write(sink, proc, self.src.elem(k));
-                    k += KEYS_PER_LINE;
-                }
-                self.state = advance_proc_phase(
-                    &mut self.w,
-                    sink,
-                    p,
-                    self.procs,
-                    |p| RadixState::Init { p },
-                    || RadixState::Hist { pass: 0, p: 0 },
-                );
-            }
+            Phase::Init => out.write(self.src.elem(k)),
             // Phase 1: local histogram — stream through the owned chunk of
             // the (current) source array and update the processor's own
             // histogram bins.
-            RadixState::Hist { pass, p } => {
-                let proc = ProcId(p as u16);
-                let range = owned_range(params.keys as usize, self.topology, proc);
-                let hist_base = params.radix * p as u64;
-                let mut k = range.start as u64;
-                while k < range.end as u64 {
-                    self.w.read(sink, proc, self.src.elem(k));
-                    let bin = self.rng.gen_range(0..params.radix);
-                    self.w
-                        .write(sink, proc, self.histograms.elem(hist_base + bin));
-                    k += KEYS_PER_LINE;
-                }
-                self.state = advance_proc_phase(
-                    &mut self.w,
-                    sink,
-                    p,
-                    self.procs,
-                    |p| RadixState::Hist { pass, p },
-                    || RadixState::Rank { pass, p: 0 },
-                );
+            Phase::Hist => {
+                out.read(self.src.elem(k));
+                let bin = rng.gen_range(0..params.radix);
+                out.write(self.histograms.elem(s.hist_base + bin));
             }
             // Phase 2: global rank computation — every processor reads every
             // other processor's histogram (small, read-shared).
-            RadixState::Rank { pass, p } => {
-                let proc = ProcId(p as u16);
-                for other in 0..self.procs {
-                    let base = params.radix * other as u64;
-                    let mut bin = 0u64;
-                    while bin < params.radix {
-                        self.w.read(sink, proc, self.histograms.elem(base + bin));
-                        bin += KEYS_PER_LINE;
-                    }
+            Phase::Rank => {
+                let base = params.radix * i;
+                let mut bin = 0u64;
+                while bin < params.radix {
+                    out.read(self.histograms.elem(base + bin));
+                    bin += KEYS_PER_LINE;
                 }
-                self.state = advance_proc_phase(
-                    &mut self.w,
-                    sink,
-                    p,
-                    self.procs,
-                    |p| RadixState::Rank { pass, p },
-                    || RadixState::Perm { pass, p: 0 },
-                );
             }
             // Phase 3: permutation — read own keys, write them to scattered
             // positions of the destination array (all-to-all traffic).
-            RadixState::Perm { pass, p } => {
-                let proc = ProcId(p as u16);
-                let range = owned_range(params.keys as usize, self.topology, proc);
-                let mut k = range.start as u64;
-                while k < range.end as u64 {
-                    self.w.read(sink, proc, self.src.elem(k));
-                    // One permuted write per key in this line; destinations
-                    // are uniformly scattered, as radix-sort ranks are.
-                    for _ in 0..4 {
-                        let dest = self.rng.gen_range(0..params.keys);
-                        self.w.write(sink, proc, self.dst.elem(dest));
-                    }
-                    k += KEYS_PER_LINE;
+            Phase::Perm => {
+                out.read(self.src.elem(k));
+                // One permuted write per key in this line; destinations
+                // are uniformly scattered, as radix-sort ranks are.
+                for _ in 0..4 {
+                    let dest = rng.gen_range(0..params.keys);
+                    out.write(self.dst.elem(dest));
                 }
-                let passes = params.passes;
-                self.state = advance_proc_phase(
-                    &mut self.w,
-                    sink,
-                    p,
-                    self.procs,
-                    |p| RadixState::Perm { pass, p },
-                    || {
-                        if pass + 1 < passes {
-                            RadixState::Hist {
-                                pass: pass + 1,
-                                p: 0,
-                            }
-                        } else {
-                            RadixState::Finish
-                        }
-                    },
-                );
-            }
-            RadixState::Finish => {
-                self.w.finish(sink);
-                return false;
             }
         }
-        true
+    }
+
+    fn skip(&self, s: &RadixSlice, _i: u64, rng: &mut SmallRng) {
+        let draws = match s.phase {
+            Phase::Hist => 1,
+            Phase::Perm => 4,
+            Phase::Init | Phase::Rank => 0,
+        };
+        for _ in 0..draws {
+            rng.next_u64();
+        }
     }
 }
 
@@ -236,11 +224,12 @@ impl Workload for Radix {
     }
 
     fn emit(&self, cfg: &WorkloadConfig, sink: &mut dyn EventSink) {
-        crate::run_stepper(self.stepper(cfg), sink);
+        crate::emit_streams(self.generator(cfg), cfg, sink);
     }
 
-    fn stepper(&self, cfg: &WorkloadConfig) -> Box<dyn StepGenerator> {
-        Box::new(RadixGen::new(cfg))
+    fn generator(&self, cfg: &WorkloadConfig) -> Box<dyn ProcGenerator> {
+        let program = RadixProgram::new(cfg);
+        Box::new(ProcStreams::new(program, cfg.topology, cfg.think_cycles))
     }
 }
 

@@ -12,15 +12,17 @@
 //! path because rays are independent and plentiful.
 
 use crate::config::{Scale, WorkloadConfig};
-use crate::util::{advance_proc_phase, owned_range};
+use crate::program::{Draws, Emit, ProcStreams, Program};
+use crate::util::owned_range;
 use crate::Workload;
-use mem_trace::{AddressSpace, EventSink, ProcId, Segment, StepGenerator, StepWriter, Topology};
+use mem_trace::{AddressSpace, EventSink, ProcGenerator, ProcId, Segment, Topology};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// Ray-traced rendering of a 3-D scene.
 pub struct Raytrace;
 
+#[derive(Clone)]
 struct RaytraceParams {
     /// Cache lines of scene data (geometry + grid).
     scene_lines: u64,
@@ -64,111 +66,116 @@ impl RaytraceParams {
     }
 }
 
-/// Scene lines built per setup step (bounds each step's emission).
-const SCENE_CHUNK: u64 = 4096;
+/// Rays dequeued per trip through the shared work queue.
+const RAYS_PER_BUNDLE: u64 = 32;
 
-enum RaytraceState {
-    Scene { from: u64 },
-    Trace { p: usize },
-    Finish,
-}
-
-struct RaytraceGen {
+#[derive(Clone)]
+struct RaytraceProgram {
     params: RaytraceParams,
     topology: Topology,
-    procs: usize,
+    seed: u64,
     scene: Segment,
     framebuffer: Segment,
     queue: Segment,
-    w: StepWriter,
-    rng: SmallRng,
-    state: RaytraceState,
 }
 
-impl RaytraceGen {
+/// One processor's slice: the scene build (phase 0) or its share of rays
+/// (phase 1), starting at `first_ray`.
+#[derive(Clone, Copy)]
+struct RaytraceSlice {
+    build: bool,
+    first_ray: u64,
+}
+
+impl RaytraceProgram {
     fn new(cfg: &WorkloadConfig) -> Self {
         let params = RaytraceParams::for_scale(cfg.scale);
         let mut space = AddressSpace::new();
         let scene = space.alloc("scene", params.scene_lines, 64);
         let framebuffer = space.alloc("framebuffer", params.rays, 4);
         let queue = space.alloc("ray_queue", 16, 64);
-        RaytraceGen {
+        RaytraceProgram {
             params,
             topology: cfg.topology,
-            procs: cfg.topology.total_procs(),
+            seed: cfg.seed ^ 0x4a11,
             scene,
             framebuffer,
             queue,
-            w: StepWriter::new(cfg.topology).with_think_cycles(cfg.think_cycles),
-            rng: SmallRng::seed_from_u64(cfg.seed ^ 0x4a11),
-            state: RaytraceState::Scene { from: 0 },
         }
     }
 }
 
-impl StepGenerator for RaytraceGen {
-    fn step(&mut self, sink: &mut dyn EventSink) -> bool {
-        match self.state {
-            // Processor 0 builds the scene database; its pages are homed on
-            // node 0 and never written again.
-            RaytraceState::Scene { from } => {
-                let to = (from + SCENE_CHUNK).min(self.params.scene_lines);
-                for line in from..to {
-                    let addr = self.scene.elem(line);
-                    self.w.write(sink, ProcId(0), addr);
-                }
-                if to < self.params.scene_lines {
-                    self.state = RaytraceState::Scene { from: to };
-                } else {
-                    self.w.barrier_all(sink);
-                    self.state = RaytraceState::Trace { p: 0 };
-                }
-            }
-            // Each processor traces an equal share of rays, dequeuing
-            // bundles of rays from the shared work queue.
-            RaytraceState::Trace { p } => {
-                let rays_per_bundle = 32u64;
-                let proc = ProcId(p as u16);
-                let range = owned_range(self.params.rays as usize, self.topology, proc);
-                for (count, ray) in range.enumerate() {
-                    if (count as u64).is_multiple_of(rays_per_bundle) {
-                        self.w.lock(sink, proc, 0);
-                        let q0 = self.queue.elem(0);
-                        self.w.read(sink, proc, q0);
-                        self.w.write(sink, proc, q0);
-                        self.w.unlock(sink, proc, 0);
-                    }
-                    // Walk the acceleration structure: the first few reads
-                    // hit the hot top levels, the rest sample the scene
-                    // irregularly.
-                    for step in 0..self.params.reads_per_ray {
-                        let line = if step < 6 {
-                            self.rng.gen_range(0..self.params.hot_lines)
-                        } else {
-                            self.rng.gen_range(0..self.params.scene_lines)
-                        };
-                        let addr = self.scene.elem(line);
-                        self.w.read(sink, proc, addr);
-                    }
-                    // Write the pixel (private to this processor's band).
-                    let pixel = self.framebuffer.elem(ray as u64);
-                    self.w.write(sink, proc, pixel);
-                }
-                self.state = advance_proc_phase(
-                    &mut self.w,
-                    sink,
-                    p,
-                    self.procs,
-                    |p| RaytraceState::Trace { p },
-                    || RaytraceState::Finish,
-                );
-            }
-            RaytraceState::Finish => {
-                self.w.finish(sink);
-                return false;
-            }
+impl Program for RaytraceProgram {
+    type Slice = RaytraceSlice;
+
+    fn phases(&self) -> usize {
+        2
+    }
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn draws(&self, ph: usize) -> Draws {
+        if ph == 0 {
+            Draws::None
+        } else {
+            Draws::ByProc
         }
-        true
+    }
+
+    fn slice(&self, ph: usize, p: usize) -> (u64, RaytraceSlice) {
+        if ph == 0 {
+            // Processor 0 builds the scene database alone.
+            let lines = if p == 0 { self.params.scene_lines } else { 0 };
+            let slice = RaytraceSlice {
+                build: true,
+                first_ray: 0,
+            };
+            return (lines, slice);
+        }
+        let rays = owned_range(self.params.rays as usize, self.topology, ProcId(p as u16));
+        let slice = RaytraceSlice {
+            build: false,
+            first_ray: rays.start as u64,
+        };
+        (rays.len() as u64, slice)
+    }
+
+    fn emit(&self, _p: ProcId, s: &RaytraceSlice, i: u64, rng: &mut SmallRng, out: &mut Emit<'_>) {
+        // Phase 0: processor 0 builds the scene database; its pages are
+        // homed on node 0 and never written again.
+        if s.build {
+            out.write(self.scene.elem(i));
+            return;
+        }
+        // Phase 1: each processor traces an equal share of rays, dequeuing
+        // bundles of rays from the shared work queue.
+        if i.is_multiple_of(RAYS_PER_BUNDLE) {
+            out.lock(0);
+            let q0 = self.queue.elem(0);
+            out.read(q0);
+            out.write(q0);
+            out.unlock(0);
+        }
+        // Walk the acceleration structure: the first few reads hit the hot
+        // top levels, the rest sample the scene irregularly.
+        for step in 0..self.params.reads_per_ray {
+            let line = if step < 6 {
+                rng.gen_range(0..self.params.hot_lines)
+            } else {
+                rng.gen_range(0..self.params.scene_lines)
+            };
+            out.read(self.scene.elem(line));
+        }
+        // Write the pixel (private to this processor's band).
+        out.write(self.framebuffer.elem(s.first_ray + i));
+    }
+
+    fn skip(&self, _s: &RaytraceSlice, _i: u64, rng: &mut SmallRng) {
+        for _ in 0..self.params.reads_per_ray {
+            rng.next_u64();
+        }
     }
 }
 
@@ -190,11 +197,12 @@ impl Workload for Raytrace {
     }
 
     fn emit(&self, cfg: &WorkloadConfig, sink: &mut dyn EventSink) {
-        crate::run_stepper(self.stepper(cfg), sink);
+        crate::emit_streams(self.generator(cfg), cfg, sink);
     }
 
-    fn stepper(&self, cfg: &WorkloadConfig) -> Box<dyn StepGenerator> {
-        Box::new(RaytraceGen::new(cfg))
+    fn generator(&self, cfg: &WorkloadConfig) -> Box<dyn ProcGenerator> {
+        let program = RaytraceProgram::new(cfg);
+        Box::new(ProcStreams::new(program, cfg.topology, cfg.think_cycles))
     }
 }
 

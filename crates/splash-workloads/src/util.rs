@@ -1,28 +1,6 @@
 //! Shared helpers for the workload generators.
 
-use mem_trace::{EventSink, ProcId, StepWriter, Topology};
-
-/// Advance a step generator past one processor's slice of a phase: either
-/// to the next processor of the same phase, or — emitting the phase
-/// barrier — to the next phase.  Every per-processor-phased generator
-/// (radix, ocean, barnes, fmm, raytrace) routes its state transitions
-/// through this one helper so the barrier-at-phase-end rule cannot diverge
-/// between them.
-pub(crate) fn advance_proc_phase<S>(
-    w: &mut StepWriter,
-    sink: &mut dyn EventSink,
-    p: usize,
-    procs: usize,
-    same_phase: impl FnOnce(usize) -> S,
-    next_phase: impl FnOnce() -> S,
-) -> S {
-    if p + 1 < procs {
-        same_phase(p + 1)
-    } else {
-        w.barrier_all(sink);
-        next_phase()
-    }
-}
+use mem_trace::{ProcId, Topology};
 
 /// Split `0..n` into `parts` contiguous ranges, as evenly as possible.
 /// (The generators' hot paths use [`owned_range`]; this whole-partition

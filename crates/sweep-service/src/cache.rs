@@ -28,7 +28,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use dsm_bench::CacheKey;
@@ -101,7 +101,12 @@ impl ResultCache {
         }
         let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
         if file.metadata()?.len() == 0 {
-            writeln!(file, "{CACHE_HEADER}")?;
+            file.write_all(format!("{CACHE_HEADER}\n").as_bytes())?;
+        } else if !ends_with_newline(&path)? {
+            // A torn last line (a crash mid-append): end it, so the next
+            // entry starts a line of its own instead of joining the torn
+            // one, which fails to decode and is dropped.
+            file.write_all(b"\n")?;
         }
         Ok(ResultCache {
             entries,
@@ -158,10 +163,13 @@ impl ResultCache {
             return;
         }
         if let Some(file) = &mut self.file {
-            // An append failure (disk full, file deleted) degrades to
-            // in-memory caching for this entry; the in-memory copy still
-            // serves this process.
-            let _ = writeln!(file, "{}", encode_entry(key, result, fingerprint));
+            // One write for the entry and its newline, so a crash cannot
+            // leave a whole entry without its line end.  An append failure
+            // (disk full, file deleted) degrades to in-memory caching for
+            // this entry; the in-memory copy still serves this process.
+            let mut line = encode_entry(key, result, fingerprint);
+            line.push('\n');
+            let _ = file.write_all(line.as_bytes());
         }
         self.entries.insert(
             key,
@@ -191,6 +199,15 @@ impl ResultCache {
             path: self.path.clone(),
         }
     }
+}
+
+/// `true` if the (non-empty) file at `path` ends in a newline.
+fn ends_with_newline(path: &Path) -> io::Result<bool> {
+    let mut file = File::open(path)?;
+    file.seek(SeekFrom::End(-1))?;
+    let mut last = [0u8];
+    file.read_exact(&mut last)?;
+    Ok(last[0] == b'\n')
 }
 
 fn load_entries(reader: impl BufRead, entries: &mut BTreeMap<CacheKey, Entry>) -> io::Result<()> {
@@ -487,6 +504,34 @@ mod tests {
         let cache = ResultCache::open(&path).unwrap();
         assert_eq!(cache.len(), 1, "only the damaged entry is lost");
 
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn an_append_after_a_torn_line_survives_a_reopen() {
+        let dir = std::env::temp_dir().join(format!("dsm-cache-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("torn.cache");
+        let _ = std::fs::remove_file(&path);
+        {
+            let mut cache = ResultCache::open(&path).unwrap();
+            cache.insert(key(1), &sample_result(1));
+            cache.insert(key(2), &sample_result(2));
+        }
+        // A crash mid-append: the last entry loses its final 10 bytes.
+        let content = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, &content[..content.len() - 10]).unwrap();
+        {
+            let mut cache = ResultCache::open(&path).unwrap();
+            assert_eq!(cache.len(), 1, "the torn entry is dropped");
+            cache.insert(key(3), &sample_result(3));
+            assert_eq!(cache.len(), 2);
+        }
+        // The entry appended after the torn line is not swallowed by it.
+        let mut cache = ResultCache::open(&path).unwrap();
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.lookup(key(3)), Some(sample_result(3)));
+        assert_eq!(cache.lookup(key(1)), Some(sample_result(1)));
         let _ = std::fs::remove_file(&path);
     }
 

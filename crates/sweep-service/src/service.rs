@@ -24,6 +24,7 @@ use dsm_bench::perf::{collect_trend, format_trend};
 use dsm_bench::report::{format_sweep_points, format_sweep_table, sweep_to_csv};
 use dsm_bench::runner::default_threads;
 use dsm_bench::{ExperimentScale, Sweep, SweepEvent, SweepResult};
+use dsm_core::{MachineConfig, SystemConfig};
 
 /// What the connection loop should do after a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,12 +208,19 @@ impl SweepService {
         if spec.systems.is_empty() {
             return Err("`systems` must name at least one compared system".to_string());
         }
-        let mut sweep = Sweep::new(spec.name.clone()).scales(scales);
-        for name in &spec.systems {
-            sweep = sweep.system(catalog::system_by_name(name, template_scale)?);
-        }
+        let systems = spec
+            .systems
+            .iter()
+            .map(|name| catalog::system_by_name(name, template_scale))
+            .collect::<Result<Vec<_>, _>>()?;
         let baseline = spec.baseline.as_deref().unwrap_or("perfect-cc-numa");
-        sweep = sweep.baseline(catalog::system_by_name(baseline, template_scale)?);
+        let baseline = catalog::system_by_name(baseline, template_scale)?;
+        check_machine_axes(spec, systems.iter().chain([&baseline]))?;
+        let mut sweep = Sweep::new(spec.name.clone()).scales(scales);
+        for system in systems {
+            sweep = sweep.system(system);
+        }
+        sweep = sweep.baseline(baseline);
 
         if let Some(workloads) = &spec.workloads {
             if workloads.is_empty() {
@@ -252,6 +260,113 @@ impl SweepService {
         };
         Ok(sweep.threads(request_threads(spec.threads, budget)))
     }
+}
+
+/// Processors a machine may have: processor ids are 16-bit.
+const MAX_PROCS: u64 = 1 << 16;
+
+/// Distinct pages the page interner must be able to index at every swept
+/// geometry.  Its dense block indices are `u32`, so a page of `b` blocks
+/// leaves room for `u32::MAX / b` pages; this floor holds every Table 2
+/// footprint and caps a page at 32768 blocks.
+const MIN_INTERNED_PAGES: u64 = 1 << 16;
+
+/// Reject machine axes no simulator can be built for — before any job runs,
+/// naming the request key and the value.  Empty axes stand for the paper
+/// machine's value, and sizes are checked in every page x block pairing
+/// against the L1 and every system's block and page cache.
+fn check_machine_axes<'a>(
+    spec: &SweepSpec,
+    systems: impl Iterator<Item = &'a SystemConfig>,
+) -> Result<(), String> {
+    let base = MachineConfig::PAPER;
+    for (key, values) in [
+        ("nodes", &spec.nodes),
+        ("procs_per_node", &spec.procs_per_node),
+    ] {
+        if values.contains(&0) {
+            return Err(format!("`{key}` value 0: a machine needs at least one"));
+        }
+    }
+    for (key, values) in [
+        ("page_bytes", &spec.page_bytes),
+        ("block_bytes", &spec.block_bytes),
+    ] {
+        if let Some(v) = values.iter().find(|v| !v.is_power_of_two()) {
+            return Err(format!("`{key}` value {v} is not a power of two"));
+        }
+    }
+    let or_base = |values: &[u16], base: u16| -> Vec<u64> {
+        let values = if values.is_empty() {
+            &[base][..]
+        } else {
+            values
+        };
+        values.iter().map(|&v| u64::from(v)).collect()
+    };
+    for n in or_base(&spec.nodes, base.topology.nodes) {
+        for p in or_base(&spec.procs_per_node, base.topology.procs_per_node) {
+            if n * p > MAX_PROCS {
+                return Err(format!(
+                    "`nodes` value {n} with `procs_per_node` value {p} makes {} processors; \
+                     at most {MAX_PROCS} fit the processor ids",
+                    n * p
+                ));
+            }
+        }
+    }
+    let pages = if spec.page_bytes.is_empty() {
+        vec![base.geometry.page_bytes]
+    } else {
+        spec.page_bytes.clone()
+    };
+    let blocks = if spec.block_bytes.is_empty() {
+        vec![base.geometry.block_bytes]
+    } else {
+        spec.block_bytes.clone()
+    };
+    for &block in &blocks {
+        if block > base.l1.size_bytes {
+            return Err(format!(
+                "`block_bytes` value {block} exceeds the {} B L1 cache",
+                base.l1.size_bytes
+            ));
+        }
+        for &page in &pages {
+            if block > page {
+                return Err(format!(
+                    "`block_bytes` value {block} exceeds `page_bytes` value {page}"
+                ));
+            }
+            let per_page = page / block;
+            if per_page > u64::from(u32::MAX) / MIN_INTERNED_PAGES {
+                return Err(format!(
+                    "`page_bytes` value {page} holds {per_page} blocks of `block_bytes` value \
+                     {block}; the page interner indexes at most {} per page",
+                    u64::from(u32::MAX) / MIN_INTERNED_PAGES
+                ));
+            }
+        }
+    }
+    for system in systems {
+        if let Some(cache) = system.block_cache {
+            if let Some(&block) = blocks.iter().find(|&&b| cache.lines_at(b) == Some(0)) {
+                return Err(format!(
+                    "`block_bytes` value {block} exceeds the block cache of `{}`",
+                    system.name
+                ));
+            }
+        }
+        if let Some(cache) = system.page_cache {
+            if let Some(&page) = pages.iter().find(|&&p| cache.frames_at(p) == Some(0)) {
+                return Err(format!(
+                    "`page_bytes` value {page} exceeds the page cache of `{}`",
+                    system.name
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The worker threads a request runs with: its own `"threads"`, clamped to
@@ -423,6 +538,104 @@ mod tests {
         // A malformed line that still carries an id echoes it back.
         let (lines, _) = collect(&service, r#"{"kind":"wat","id":"echo-me"}"#);
         assert_eq!(parse(&lines[0]).unwrap().get_str("id"), Some("echo-me"));
+    }
+
+    #[test]
+    fn bad_machine_axes_error_and_the_server_keeps_serving() {
+        let service = SweepService::in_memory();
+        let sweep = |axes: &str| {
+            format!(
+                r#"{{"kind":"sweep","id":"g","workloads":["ocean"],"systems":["cc-numa"],
+                    "scale":"x1/32","threads":1,{axes}}}"#
+            )
+        };
+        for (axes, needles) in [
+            (r#""nodes":[0]"#, ["`nodes`", "0"]),
+            (r#""procs_per_node":[2,0]"#, ["`procs_per_node`", "0"]),
+            (
+                r#""nodes":[512],"procs_per_node":[512]"#,
+                ["`nodes`", "512"],
+            ),
+            (r#""page_bytes":[1000]"#, ["`page_bytes`", "1000"]),
+            (r#""block_bytes":[8192]"#, ["`block_bytes`", "8192"]),
+            (
+                r#""page_bytes":[2048],"block_bytes":[4096]"#,
+                ["`block_bytes`", "4096"],
+            ),
+            (
+                r#""page_bytes":[1099511627776]"#,
+                ["`page_bytes`", "1099511627776"],
+            ),
+            (
+                r#""block_bytes":[32768],"page_bytes":[65536]"#,
+                ["`block_bytes`", "32768"],
+            ),
+        ] {
+            let (lines, action) = collect(&service, &sweep(axes));
+            assert_eq!(action, Action::Continue);
+            assert_eq!(lines.len(), 1, "one error line for {axes}: {lines:?}");
+            let v = parse(&lines[0]).unwrap();
+            assert_eq!(v.get_str("kind"), Some("error"), "{axes}");
+            let message = v.get_str("message").unwrap();
+            for needle in needles {
+                assert!(
+                    message.contains(needle),
+                    "`{needle}` missing for {axes}: {message}"
+                );
+            }
+            // The next request is answered.
+            let (lines, _) = collect(&service, r#"{"kind":"cache-stats","id":"c"}"#);
+            assert_eq!(
+                parse(&lines[0]).unwrap().get_str("kind"),
+                Some("cache-stats")
+            );
+        }
+        // Page sizes past a page cache are named with the system.
+        let (lines, _) = collect(
+            &service,
+            r#"{"kind":"sweep","id":"g","workloads":["ocean"],"systems":["r-numa"],
+                "scale":"x1/32","page_bytes":[268435456],"block_bytes":[16384]}"#,
+        );
+        let v = parse(&lines[0]).unwrap();
+        assert_eq!(v.get_str("kind"), Some("error"));
+        assert!(
+            v.get_str("message").unwrap().contains("page cache"),
+            "{lines:?}"
+        );
+        assert_eq!(service.cache_stats().entries, 0, "no job ran");
+    }
+
+    #[test]
+    fn duplicate_jobs_in_a_phase_are_simulated_once() {
+        let service = SweepService::in_memory();
+        let (lines, _) = collect(
+            &service,
+            r#"{"kind":"sweep","id":"d","workloads":["ocean"],"systems":["cc-numa","cc-numa"],
+                "scale":"x1/32","nodes":[2],"procs_per_node":[2],"threads":1}"#,
+        );
+        let done = parse(lines.last().unwrap()).unwrap();
+        assert_eq!(done.get_u64("simulated"), Some(2), "{lines:?}");
+        assert_eq!(done.get_u64("cached"), Some(1), "{lines:?}");
+        let points: Vec<_> = lines
+            .iter()
+            .map(|l| parse(l).unwrap())
+            .filter(|v| v.get_str("kind") == Some("point"))
+            .collect();
+        assert_eq!(points.len(), 2);
+        assert_eq!(
+            points[0].get_str("fingerprint"),
+            points[1].get_str("fingerprint")
+        );
+        // The copy is answered after the point it copies.
+        assert_eq!(
+            points[0].get("cached"),
+            Some(&crate::json::Value::Bool(false))
+        );
+        assert_eq!(
+            points[1].get("cached"),
+            Some(&crate::json::Value::Bool(true))
+        );
+        assert_eq!(service.cache_stats().entries, 2);
     }
 
     #[test]

@@ -1,22 +1,24 @@
 //! Bounded-memory smoke binary: runs one workload simulation through the
-//! fused or threaded streaming trace pipeline, or by materializing the
-//! whole trace first.
+//! fused streaming trace pipeline, or by materializing the whole trace
+//! first.
 //!
-//! The CI bounded-memory job (and `tests/streaming.rs`) runs this under a
-//! `ulimit -v` address-space ceiling sized so that the streamed paths
-//! complete while the materialized path aborts on allocation — the
+//! The CI bounded-memory job (and `tests/api_parity.rs`) runs this under a
+//! `ulimit -v` address-space ceiling sized so that the streamed path
+//! completes while the materialized path aborts on allocation — the
 //! executable proof that streaming keeps peak memory flat at paper scale.
+//! `--stream` is the same fused run as `--fused`, reported as
+//! `mode=streamed`.
 //!
-//! `--adversarial` is the quiet-processor regression mode: it drives a
-//! ThreadedSource over a synthetic stream whose processor 1 goes quiet
-//! immediately (no end marker until the very end) and pulls processor 1
-//! first — the pull order that used to buffer the entire remaining trace.
-//! With the window cap the drain now stops at the cap and reports
-//! `TraceError::StreamWindowExceeded`, so the run fits the same ceiling
-//! under which the old unbounded demux would abort.
+//! `--adversarial` proves the window cap of the one source that still
+//! parks events, `ReplaySource`: it replays a DSMTRC01 trace in which every
+//! record of processor 1 follows every record of processor 0, and pulls
+//! processor 1 first — the pull order that would park all of processor 0's
+//! records.  The drain stops at the cap and reports
+//! `TraceError::StreamWindowExceeded`, so the run fits a ceiling the
+//! parked records would exceed.
 //!
 //! ```text
-//! memsmoke [--materialize|--stream|--fused|--threaded|--adversarial]
+//! memsmoke [--materialize|--fused|--stream|--adversarial]
 //!          [--paper] [--workload NAME] [--system cc-numa|r-numa]
 //! ```
 
@@ -24,15 +26,13 @@ use dsm_repro::prelude::*;
 
 enum Mode {
     Materialize,
-    /// Automatic fused-vs-threaded pick (whatever `stream()` chooses).
-    Auto,
     Fused,
-    Threaded,
     Adversarial,
 }
 
 fn main() {
-    let mut mode = Mode::Auto;
+    let mut mode = Mode::Fused;
+    let mut label = "streamed";
     let mut scale = Scale::Paper;
     let mut workload = String::from("radix");
     let mut system = String::from("cc-numa");
@@ -41,9 +41,8 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--materialize" => mode = Mode::Materialize,
-            "--stream" => mode = Mode::Auto,
-            "--fused" => mode = Mode::Fused,
-            "--threaded" => mode = Mode::Threaded,
+            "--fused" => (mode, label) = (Mode::Fused, "fused"),
+            "--stream" => (mode, label) = (Mode::Fused, "streamed"),
             "--adversarial" => mode = Mode::Adversarial,
             "--paper" => scale = Scale::Paper,
             "--reduced" => scale = Scale::Reduced,
@@ -59,7 +58,7 @@ fn main() {
             }
             "-h" | "--help" => {
                 println!(
-                    "usage: memsmoke [--materialize|--stream|--fused|--threaded|--adversarial] \
+                    "usage: memsmoke [--materialize|--fused|--stream|--adversarial] \
                      [--paper|--reduced] [--workload NAME] [--system cc-numa|r-numa]"
                 );
                 return;
@@ -69,7 +68,7 @@ fn main() {
     }
 
     if let Mode::Adversarial = mode {
-        adversarial_quiet_processor_pull();
+        adversarial_replay_pull();
         return;
     }
 
@@ -87,18 +86,7 @@ fn main() {
             let trace = wl.generate(&cfg);
             ("materialized", sim.run(&trace))
         }
-        Mode::Auto => {
-            let mut source = stream(wl, cfg);
-            ("streamed", sim.run_source(&mut source))
-        }
-        Mode::Fused => {
-            let mut source = fused(wl.as_ref(), &cfg);
-            ("fused", sim.run_source(&mut source))
-        }
-        Mode::Threaded => {
-            let mut source = stream_threaded(wl, cfg);
-            ("threaded", sim.run_source(&mut source))
-        }
+        Mode::Fused => (label, sim.run_source(&mut fused(wl.as_ref(), &cfg))),
         Mode::Adversarial => unreachable!("handled above"),
     };
     println!(
@@ -112,28 +100,75 @@ fn main() {
     );
 }
 
-/// The quiet-processor blow-up, contained: pull an (endless-ish) stream in
-/// the adversarial order and prove the demux gives up at its cap instead
-/// of buffering the trace.  Exits 0 when the cap fired as designed.
-fn adversarial_quiet_processor_pull() {
-    use dsm_repro::trace::{StepWriter, TraceEvent};
+/// A DSMTRC01 trace produced as it is read: `events` reads by processor 0,
+/// then the one record of processor 1 — the bytes a recording of that
+/// shape holds, without a 440 MB file on disk.
+struct QuietProcTrace {
+    pending: Vec<u8>,
+    at: usize,
+    next: u64,
+    events: u64,
+}
 
+impl QuietProcTrace {
+    fn new(events: u64) -> Self {
+        let mut header = b"DSMTRC01".to_vec();
+        header.extend_from_slice(&5u32.to_le_bytes());
+        header.extend_from_slice(b"quiet");
+        header.extend_from_slice(&2u16.to_le_bytes()); // nodes
+        header.extend_from_slice(&1u16.to_le_bytes()); // processors per node
+        QuietProcTrace {
+            pending: header,
+            at: 0,
+            next: 0,
+            events,
+        }
+    }
+}
+
+impl std::io::Read for QuietProcTrace {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.at == self.pending.len() {
+            self.pending.clear();
+            self.at = 0;
+            while self.pending.len() < 64 * 1024 && self.next <= self.events {
+                if self.next < self.events {
+                    // Processor 0: a read (tag 0) of an 8-byte address.
+                    self.pending.extend_from_slice(&0u16.to_le_bytes());
+                    self.pending.push(0);
+                    let addr = (self.next % 1_000_000) * 64;
+                    self.pending.extend_from_slice(&addr.to_le_bytes());
+                } else {
+                    // Processor 1's only record, after all of processor 0's:
+                    // a compute (tag 2) of one cycle.
+                    self.pending.extend_from_slice(&1u16.to_le_bytes());
+                    self.pending.push(2);
+                    self.pending.extend_from_slice(&1u32.to_le_bytes());
+                }
+                self.next += 1;
+            }
+        }
+        let n = (self.pending.len() - self.at).min(buf.len());
+        buf[..n].copy_from_slice(&self.pending[self.at..self.at + n]);
+        self.at += n;
+        Ok(n)
+    }
+}
+
+/// The replay window cap, proven: replay a trace whose processor 1 comes
+/// entirely after processor 0, pull processor 1 first, and check the demux
+/// gives up at its cap instead of parking processor 0's records.  Exits 0
+/// when the cap fired as designed.
+fn adversarial_replay_pull() {
     const EVENTS: u64 = 40_000_000; // ~640 MB if the demux parked them all
     const CAP: usize = 1 << 20;
 
-    let topo = Topology::new(2, 1);
-    let mut source = ThreadedSource::spawn("quiet-proc", topo, move |sink| {
-        let mut w = StepWriter::new(topo);
-        for i in 0..EVENTS {
-            w.read(sink, ProcId(0), GlobalAddr((i % 1_000_000) * 64));
-        }
-        sink.end_of_stream(ProcId(0));
-        // Proc 1's end marker only lands here, after the whole stream:
-        // exactly the shape that used to reintroduce O(trace) memory.
-        sink.event(ProcId(1), TraceEvent::Compute(1));
-        sink.end_of_stream(ProcId(1));
-    })
-    .with_window_cap(CAP);
+    let mut source = ReplaySource::from_reader(QuietProcTrace::new(EVENTS))
+        .unwrap_or_else(|e| {
+            eprintln!("error: reading the trace header: {e}");
+            std::process::exit(1);
+        })
+        .with_window_cap(CAP);
 
     // The adversarial order: ask for the quiet processor first.
     let got = source.next_event(ProcId(1));

@@ -40,8 +40,7 @@ pub use sweep_service as service;
 /// Convenience re-exports of the types most programs need.
 pub mod prelude {
     pub use dsm_bench::{
-        Axis, Experiment, ExperimentScale, Metric, MetricSet, SourceMode, Sweep, SweepResult,
-        SystemSet,
+        Axis, Experiment, ExperimentScale, Metric, MetricSet, Sweep, SweepResult, SystemSet,
     };
     pub use dsm_core::{
         BlockCaching, ClusterSimulator, CostModel, MachineConfig, MigRep, MigRepConfig,
@@ -49,13 +48,11 @@ pub mod prelude {
         SystemConfig, SystemFeature, Thresholds,
     };
     pub use mem_trace::{
-        FusedSource, Geometry, GlobalAddr, ProcId, ProgramTrace, ReplaySource, SharerSet,
-        StepGenerator, ThreadedSource, Topology, TraceBuilder, TraceError, TraceSource, BLOCK_SIZE,
-        PAGE_SIZE,
+        FusedSource, Geometry, GlobalAddr, ProcGenerator, ProcId, ProgramTrace, ReplaySource,
+        SharerSet, Topology, TraceBuilder, TraceError, TraceSource, BLOCK_SIZE, PAGE_SIZE,
     };
     pub use splash_workloads::{
-        by_name, catalog, fused, stream, stream_threaded, CustomScale, Scale, Workload,
-        WorkloadConfig,
+        by_name, catalog, fused, stream, CustomScale, Scale, Workload, WorkloadConfig,
     };
 }
 
