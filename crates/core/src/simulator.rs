@@ -16,6 +16,20 @@
 //! [`ProgramTrace`] is just one such source ([`ProgramTrace::source`]); the
 //! same run can instead be fed by a streaming generator or a recorded trace
 //! file with bounded memory ([`ClusterSimulator::run_source`]).
+//!
+//! # The access path
+//!
+//! An access that hits in its processor cache costs Table 3's hit.  An
+//! upgrade or a data miss becomes an `Access`: node, page, block and kind,
+//! plus the page's home, the node's mapping of it, the miss class and the
+//! start time.  The mapping decides where the block comes from: local
+//! memory or a replica, the node's S-COMA page cache or CC-NUMA block
+//! cache, or the home (and through it a dirty owner) across the network.
+//! Every upgrade and every miss but a read its node's own cache serves runs
+//! one coherence action: the directory transition, then invalidating every
+//! other node's copy on a write or downgrading a dirty owner's on a read.
+//! README.md's "The access path" lists each case with its Table 3 cost and
+//! the counters and policy hooks it feeds.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -24,17 +38,17 @@ use dsm_protocol::directory::{DataSource, Directory};
 use dsm_protocol::page_cache::AllocOutcome;
 use dsm_protocol::{Interconnect, MsgKind};
 use mem_trace::{
-    AccessKind, BlockRef, Geometry, GlobalAddr, MemRef, NodeId, PageInterner, PageRef, ProcId,
+    BlockRef, Geometry, GlobalAddr, MemRef, NodeId, PageIdx, PageInterner, PageRef, ProcId,
     ProgramTrace, Slab, TraceError, TraceEvent, TraceSource, MAX_LOCK_ID,
 };
 use sim_engine::{sched_key, Cycles, ProcScheduler};
-use smp_node::cache::{CacheOutcome, LineState, Victim};
+use smp_node::cache::{CacheOutcome, Victim};
 use smp_node::classify::MissClass;
 use smp_node::page_table::{PageMapping, PageMode, PageProtection};
 use smp_node::BusTransaction;
 
 use crate::config::{MachineConfig, SystemConfig};
-use crate::node::{NodeState, ProcState, Waiting};
+use crate::node::{L1Action, NodeState, ProcState, Waiting};
 use crate::placement::PagePlacement;
 use crate::policy::{policies_for, PageOp, RelocationPolicy};
 use crate::stats::SimResult;
@@ -307,8 +321,6 @@ impl<'a> RunState<'a> {
             if !source.exhausted(ProcId(p as u16)) {
                 // dsm-lint: allow(cast-truncation, proc index is bounded by total_procs which fits u16 by construction)
                 queue.push(Cycles::ZERO, p as u16);
-            } else {
-                self.procs[p].done = true;
             }
         }
 
@@ -341,7 +353,6 @@ impl<'a> RunState<'a> {
                     if let Some(e) = source.take_error() {
                         return Err(e);
                     }
-                    self.procs[pid].done = true;
                     continue 'sched;
                 };
                 match ev {
@@ -388,62 +399,43 @@ impl<'a> RunState<'a> {
                                 self.procs[qi].waiting = Waiting::None;
                                 if feeds[qi].has_pending() || !source.exhausted(ProcId(q)) {
                                     queue.push(release, q);
-                                } else {
-                                    self.procs[qi].done = true;
                                 }
                             }
                             self.barriers_done += 1;
                         }
                         continue 'sched;
                     }
+                    TraceEvent::Lock(id) | TraceEvent::Unlock(id) if id > MAX_LOCK_ID => {
+                        return Err(TraceError::LockIdOutOfRange {
+                            proc: ProcId(p),
+                            lock: id,
+                        });
+                    }
                     TraceEvent::Lock(id) => {
-                        if id > MAX_LOCK_ID {
-                            return Err(TraceError::LockIdOutOfRange {
-                                proc: ProcId(p),
-                                lock: id,
-                            });
-                        }
-                        let acquire_now = {
-                            let lock = self.locks.entry(id as usize);
-                            if lock.held_by.is_none() {
-                                lock.held_by = Some(p);
-                                true
-                            } else {
-                                lock.waiters.push_back(p);
-                                false
-                            }
-                        };
-                        if acquire_now {
-                            let cost = self.lock_cost();
-                            self.procs[pid].time += cost;
-                        } else {
+                        let lock = self.locks.entry(id as usize);
+                        if lock.held_by.is_some() {
+                            lock.waiters.push_back(p);
                             self.procs[pid].waiting = Waiting::Lock(id);
                             continue 'sched;
                         }
+                        lock.held_by = Some(p);
+                        let cost = self.lock_cost();
+                        self.procs[pid].time += cost;
                     }
                     TraceEvent::Unlock(id) => {
-                        if id > MAX_LOCK_ID {
-                            return Err(TraceError::LockIdOutOfRange {
+                        let lock = self.locks.entry(id as usize);
+                        if lock.held_by != Some(p) {
+                            return Err(TraceError::UnbalancedLock {
                                 proc: ProcId(p),
                                 lock: id,
                             });
                         }
-                        let release_time = self.procs[pid].time;
-                        let next = {
-                            let lock = self.locks.entry(id as usize);
-                            if lock.held_by != Some(p) {
-                                return Err(TraceError::UnbalancedLock {
-                                    proc: ProcId(p),
-                                    lock: id,
-                                });
-                            }
-                            lock.held_by = None;
-                            lock.waiters.pop_front()
-                        };
-                        if let Some(w) = next {
+                        // The lock passes straight to the first waiter.
+                        lock.held_by = lock.waiters.pop_front();
+                        if let Some(w) = lock.held_by {
                             let wi = w as usize;
+                            let release_time = self.procs[pid].time;
                             let cost = self.lock_cost();
-                            self.locks.entry(id as usize).held_by = Some(w);
                             self.procs[wi].time = self.procs[wi].time.max(release_time) + cost;
                             self.procs[wi].waiting = Waiting::None;
                             if feeds[wi].has_pending() || !source.exhausted(ProcId(w)) {
@@ -451,8 +443,6 @@ impl<'a> RunState<'a> {
                                 // The one push that happens while `p` keeps
                                 // running: the cached horizon is stale.
                                 horizon = horizon_key(queue);
-                            } else {
-                                self.procs[wi].done = true;
                             }
                         }
                     }
@@ -461,7 +451,6 @@ impl<'a> RunState<'a> {
                 // acquire, or unlock).  Keep running it while it beats the
                 // schedule's head; otherwise re-enqueue it.
                 if !feeds[pid].has_pending() && source.exhausted(ProcId(p)) {
-                    self.procs[pid].done = true;
                     continue 'sched;
                 }
                 let time = self.procs[pid].time;
@@ -504,10 +493,9 @@ impl<'a> RunState<'a> {
             .max()
             .unwrap_or(Cycles::ZERO);
         // Fold per-processor miss classifications into the node stats.
-        for (i, proc) in self.procs.iter().enumerate() {
-            let nidx = self.machine.topology.node_of(ProcId(i as u16)).index();
+        for (proc, &nidx) in self.procs.iter().zip(&self.proc_node) {
             let (cold, coherence, capacity) = proc.classifier.counts();
-            let stats = &mut self.nodes[nidx].stats;
+            let stats = &mut self.nodes[nidx as usize].stats;
             stats.cold_misses += cold;
             stats.coherence_misses += coherence;
             stats.capacity_conflict_misses += capacity;
@@ -529,7 +517,7 @@ impl<'a> RunState<'a> {
 
     fn service_access(&mut self, pid: usize, m: MemRef, now: Cycles) -> Cycles {
         let nidx = self.proc_node[pid] as usize;
-        let node_id = NodeId(nidx as u16);
+        let node = NodeId(nidx as u16);
         // The one hash probe of the access path (memoized for the
         // page-local runs a burst usually is): everything below keys its
         // state by the dense indices resolved here, decomposed at the
@@ -544,7 +532,7 @@ impl<'a> RunState<'a> {
         let mut mapping = match self.nodes[nidx].page_table.lookup(page.idx) {
             Some(mp) => mp,
             None => {
-                let home = self.placement.first_touch(page.idx, node_id);
+                let home = self.placement.first_touch(page.idx, node);
                 latency += costs.soft_trap;
                 // A policy may want a non-default mapping (e.g. MigRep maps
                 // pages this node holds replicas of as replicas); otherwise
@@ -552,14 +540,8 @@ impl<'a> RunState<'a> {
                 let mp = self
                     .policies
                     .iter()
-                    .find_map(|p| p.classify_page(page, node_id, home))
-                    .unwrap_or_else(|| {
-                        if home == node_id {
-                            PageMapping::new(PageMode::LocalHome, home)
-                        } else {
-                            PageMapping::new(PageMode::RemoteCcNuma, home)
-                        }
-                    });
+                    .find_map(|p| p.classify_page(page, node, home))
+                    .unwrap_or_else(|| cc_numa_mapping(node, home));
                 self.nodes[nidx].page_table.map(page.idx, mp);
                 mp
             }
@@ -568,453 +550,289 @@ impl<'a> RunState<'a> {
         // --- write to a read-only replica: protection fault -------------
         if is_write && mapping.protection == PageProtection::ReadOnly {
             latency += costs.soft_trap;
-            latency += self.switch_page_to_read_write(page, nidx, node_id, now + latency);
-            mapping = self.nodes[nidx]
-                .page_table
-                .lookup(page.idx)
-                // dsm-lint: allow(panic-path, switch_page_to_read_write installs the mapping on this node before returning; a missing entry is a simulator state-machine bug)
-                .expect("page remapped after switch to read-write");
+            latency += self.switch_page_to_read_write(page, node, now + latency);
+            // The writer now maps the page read-write, like every holder.
+            mapping = cc_numa_mapping(node, self.home_of(page.idx, node));
         }
 
         // --- processor cache ---------------------------------------------
-        let outcome = self.procs[pid].cache.access(block, m.kind);
-        match outcome {
+        // Past the L1 the access also carries the page's home, its miss
+        // class and the time its request leaves the processor.
+        let past_l1 = |home, class, now| Access {
+            node,
+            page,
+            block,
+            is_write,
+            home,
+            mapping,
+            class,
+            now,
+        };
+        let latency = match self.procs[pid].cache.access(block, m.kind) {
             CacheOutcome::Hit => {
                 self.nodes[nidx].stats.l1_hits += 1;
-                if is_write {
-                    self.invalidate_block_in_sibling_procs(nidx, pid, block);
-                }
                 latency + costs.cache_hit
             }
             CacheOutcome::UpgradeMiss => {
-                latency += self.service_upgrade(nidx, node_id, page, block, mapping, now + latency);
+                let home = self.home_of(page.idx, node);
+                latency += self.service_upgrade(&past_l1(home, None, now + latency));
                 // A page operation triggered by the upgrade (e.g. a
                 // migration flush) may have dropped the line; refill it.
-                if self.procs[pid].cache.state_of(block).is_valid() {
-                    self.procs[pid].cache.upgrade(block);
+                let p = &mut self.procs[pid];
+                if p.cache.state_of(block).is_valid() {
+                    p.cache.upgrade(block);
                 } else {
-                    self.procs[pid].cache.fill(block, LineState::Modified);
-                    self.procs[pid].classifier.record_fill(block.idx);
+                    p.fill(block, true);
                 }
-                self.invalidate_block_in_sibling_procs(nidx, pid, block);
                 latency
             }
             CacheOutcome::Miss { victim } => {
                 if let Some(v) = victim {
-                    self.handle_l1_victim(pid, nidx, node_id, v, now);
+                    self.handle_l1_victim(pid, nidx, v, now);
                 }
                 let class = self.procs[pid].classifier.classify_miss(block.idx);
-                latency += self.service_data_miss(
-                    nidx,
-                    node_id,
-                    page,
-                    block,
-                    m.kind,
-                    class,
-                    mapping,
-                    now + latency,
-                );
-                let fill_state = if is_write {
-                    LineState::Modified
-                } else {
-                    LineState::Shared
-                };
-                self.procs[pid].cache.fill(block, fill_state);
-                self.procs[pid].classifier.record_fill(block.idx);
-                if is_write {
-                    self.invalidate_block_in_sibling_procs(nidx, pid, block);
-                }
+                let home = self.home_of(page.idx, node);
+                latency += self.service_data_miss(&past_l1(home, Some(class), now + latency));
+                self.procs[pid].fill(block, is_write);
                 latency
             }
-        }
-    }
-
-    /// Write hit on a line held shared: obtain exclusive ownership.
-    fn service_upgrade(
-        &mut self,
-        nidx: usize,
-        node_id: NodeId,
-        page: PageRef,
-        block: BlockRef,
-        mapping: PageMapping,
-        now: Cycles,
-    ) -> Cycles {
-        let costs = self.system.costs;
-        let home = self.placement.home_of(page.idx).unwrap_or(node_id);
-        let reply = self.directory.handle_write(block.idx, node_id);
-        let mut remote_invalidations = false;
-        for victim_node in &reply.invalidate {
-            if *victim_node != node_id {
-                remote_invalidations = true;
-                self.invalidate_block_on_node(victim_node.index(), block);
-            }
-        }
-
-        let remote_page = home != node_id && mapping.mode != PageMode::Replica;
-        let latency = if remote_page {
-            // Ownership is granted by the (remote) home directory.
-            let t = self.network.round_trip(
-                node_id,
-                home,
-                now,
-                MsgKind::WriteRequest,
-                MsgKind::WriteReply,
-                Cycles::ZERO,
-            );
-            self.nodes[nidx].stats.remote_misses += 1;
-            // Ownership requests reach the home node and are counted by its
-            // relocation policies.
-            let ops = if mapping.mode == PageMode::RemoteCcNuma {
-                self.record_home_miss(page, home, node_id, true)
-            } else {
-                Vec::new()
-            };
-            if !ops.is_empty() {
-                let mut extra = Cycles::ZERO;
-                for op in ops {
-                    extra += self.perform_page_op(op, now + extra);
-                }
-                return costs.remote_miss.max(t - now) + extra;
-            }
-            costs.remote_miss.max(t - now)
-        } else {
-            let t = self.nodes[nidx].bus.issue(now, BusTransaction::Upgrade);
-            if remote_invalidations {
-                costs.remote_miss.max(t - now)
-            } else {
-                (t - now).max(BusTransaction::Upgrade.cpu_cycles())
-            }
         };
-
-        // The written block becomes dirty wherever the node keeps it.
-        match mapping.mode {
-            PageMode::RemoteCcNuma => {
-                if let Some(bc) = self.nodes[nidx].block_cache.as_mut() {
-                    bc.mark_dirty(block);
-                }
-            }
-            PageMode::SComa => {
-                if let Some(pc) = self.nodes[nidx].page_cache.as_mut() {
-                    pc.mark_dirty(block.idx);
-                }
-            }
-            _ => {}
+        // Intra-node coherence: a write invalidates the siblings' copies.
+        if is_write {
+            self.on_l1s(nidx, block, Some(pid), L1Action::Invalidate);
         }
         latency
     }
 
-    /// Data miss in the processor cache: find the block, charging the right
-    /// latency for the page's current mapping.
-    #[allow(clippy::too_many_arguments)]
-    fn service_data_miss(
-        &mut self,
-        nidx: usize,
-        node_id: NodeId,
-        page: PageRef,
-        block: BlockRef,
-        kind: AccessKind,
-        class: MissClass,
-        mapping: PageMapping,
-        now: Cycles,
-    ) -> Cycles {
+    /// Write hit on a line held shared: obtain exclusive ownership.
+    fn service_upgrade(&mut self, a: &Access) -> Cycles {
         let costs = self.system.costs;
-        let is_write = kind.is_write();
-        let home = self.placement.home_of(page.idx).unwrap_or(node_id);
+        let c = self.coherence(a, DirtyOwner::Downgrade);
+        let latency = if a.home != a.node && a.mapping.mode != PageMode::Replica {
+            // Ownership is granted by the (remote) home directory.
+            let latency = self.remote_miss(a, a.home, a.msgs(), costs.remote_miss);
+            // Ownership requests reach the home node and are counted by its
+            // relocation policies.  Their page operations start when the
+            // upgrade does, and the upgrade then ends without marking the
+            // block dirty in the node's cache.
+            if a.mapping.mode == PageMode::RemoteCcNuma {
+                let ops = self.home_miss_ops(a, None);
+                if !ops.is_empty() {
+                    return latency + self.perform_page_ops(ops, a.now);
+                }
+            }
+            latency
+        } else {
+            let t = self.nodes[a.node.index()]
+                .bus
+                .issue(a.now, BusTransaction::Upgrade);
+            if c.remote_invalidated {
+                // Charged as a remote miss, but not counted as one.
+                costs.remote_miss.max(t - a.now)
+            } else {
+                (t - a.now).max(BusTransaction::Upgrade.cpu_cycles())
+            }
+        };
+        self.nodes[a.node.index()].mark_dirty(a.mapping.mode, a.block);
+        latency
+    }
+
+    /// Data miss in the processor cache.  Each arm says where the block
+    /// comes from, what that costs, and which counters and policy hooks the
+    /// miss feeds.
+    fn service_data_miss(&mut self, a: &Access) -> Cycles {
+        let costs = self.system.costs;
         for policy in &mut self.policies {
-            policy.on_miss(page);
+            policy.on_miss(a.page);
         }
 
-        match mapping.mode {
+        match a.mapping.mode {
             PageMode::LocalHome | PageMode::Replica => {
-                // Data lives in local memory unless a remote node owns it dirty.
-                let remote_owner = self.directory.owner_of(block.idx).filter(|o| *o != node_id);
-                if is_write {
-                    let reply = self.directory.handle_write(block.idx, node_id);
-                    for victim in &reply.invalidate {
-                        if *victim != node_id {
-                            self.invalidate_block_on_node(victim.index(), block);
-                        }
+                // Local memory, unless another node owns the block dirty.  A
+                // write that invalidates clean remote copies is still a
+                // local miss.
+                let latency = match self.coherence(a, DirtyOwner::Downgrade).dirty_owner {
+                    Some(owner) => {
+                        let msgs = (MsgKind::OwnerForward, a.msgs().1);
+                        self.remote_miss(a, owner, msgs, costs.dirty_remote_miss())
                     }
-                } else {
-                    self.directory.handle_read(block.idx, node_id);
-                    if let Some(owner) = remote_owner {
-                        self.downgrade_block_on_node(owner.index(), block);
-                    }
-                }
-
-                let latency = if let Some(owner) = remote_owner {
-                    let t = self.network.round_trip(
-                        node_id,
-                        owner,
-                        now,
-                        MsgKind::OwnerForward,
-                        if is_write {
-                            MsgKind::WriteReply
-                        } else {
-                            MsgKind::ReadReply
-                        },
-                        Cycles::ZERO,
-                    );
-                    self.count_remote_miss(nidx, class);
-                    costs.dirty_remote_miss().max(t - now)
-                } else {
-                    let t = self.nodes[nidx].bus.issue(now, BusTransaction::BlockFill);
-                    self.nodes[nidx].stats.local_misses += 1;
-                    costs.local_miss.max(t - now)
+                    None => self.local_fill(a),
                 };
-
-                let mut latency = latency;
-                if mapping.mode == PageMode::LocalHome {
-                    // Local misses are counted so that the home-vs-requester
-                    // comparison in the migration policy sees them.  The
-                    // built-in engines never decide on home-local misses, but
-                    // a third-party policy may; its operations are honoured
-                    // here like anywhere else.
-                    let ops = self.record_home_miss(page, home, node_id, is_write);
-                    for op in ops {
-                        latency += self.perform_page_op(op, now + latency);
-                    }
+                if a.mapping.mode == PageMode::Replica {
+                    return latency;
                 }
-                latency
+                // Local misses are counted so that the home-vs-requester
+                // comparison in the migration policy sees them.  The
+                // built-in engines never decide on home-local misses, but a
+                // third-party policy may; its operations are honoured here
+                // like anywhere else, after the miss.
+                let ops = self.home_miss_ops(a, None);
+                latency + self.perform_page_ops(ops, a.now + latency)
             }
 
-            PageMode::SComa => {
-                let present = self.nodes[nidx]
-                    .page_cache
-                    .as_mut()
-                    // dsm-lint: allow(panic-path, PageMode::SComa is only assigned on nodes constructed with a page cache; the pairing is a construction invariant)
-                    .expect("S-COMA mapping without a page cache")
-                    .lookup_block(block.idx);
-                if present {
-                    if is_write {
-                        let reply = self.directory.handle_write(block.idx, node_id);
-                        let mut remote_invalidations = false;
-                        for victim in &reply.invalidate {
-                            if *victim != node_id {
-                                remote_invalidations = true;
-                                self.invalidate_block_on_node(victim.index(), block);
-                            }
-                        }
-                        self.nodes[nidx]
-                            .page_cache
-                            .as_mut()
-                            // dsm-lint: allow(panic-path, same page-cache access re-taken after the presence check at the top of this match arm)
-                            .expect("checked above")
-                            .mark_dirty(block.idx);
-                        if remote_invalidations {
-                            self.count_remote_miss(nidx, class);
-                            costs.remote_miss
-                        } else {
-                            let t = self.nodes[nidx].bus.issue(now, BusTransaction::BlockFill);
-                            self.nodes[nidx].stats.local_misses += 1;
-                            costs.local_miss.max(t - now)
-                        }
-                    } else {
-                        let t = self.nodes[nidx].bus.issue(now, BusTransaction::BlockFill);
-                        self.nodes[nidx].stats.local_misses += 1;
-                        costs.local_miss.max(t - now)
-                    }
+            PageMode::SComa | PageMode::RemoteCcNuma if self.node_cache_holds(a) => {
+                // The node's page cache (S-COMA) or block cache (CC-NUMA)
+                // holds the block.  A read fills from it; a write first takes
+                // ownership, and pays a remote miss when that invalidated a
+                // copy on another node.
+                if !a.is_write {
+                    return self.local_fill(a);
+                }
+                let c = self.coherence(a, DirtyOwner::Downgrade);
+                self.nodes[a.node.index()].mark_dirty(a.mapping.mode, a.block);
+                if c.remote_invalidated {
+                    self.count_remote_miss(a);
+                    costs.remote_miss
                 } else {
-                    // Fine-grain miss in the page cache: fetch from the home
-                    // and install the block locally.
-                    let latency =
-                        self.remote_fetch(nidx, node_id, home, block, is_write, class, now);
-                    self.nodes[nidx]
-                        .page_cache
-                        .as_mut()
-                        // dsm-lint: allow(panic-path, same page-cache access re-taken after the presence check at the top of this match arm)
-                        .expect("checked above")
-                        .install_block(block.idx, is_write);
-                    latency
+                    self.local_fill(a)
                 }
             }
 
-            PageMode::RemoteCcNuma => {
-                let block_cache_hit = self.nodes[nidx]
-                    .block_cache
-                    .as_mut()
-                    .map(|bc| bc.lookup(block).is_some())
-                    .unwrap_or(false);
-
-                if block_cache_hit {
-                    if is_write {
-                        let reply = self.directory.handle_write(block.idx, node_id);
-                        let mut remote_invalidations = false;
-                        for victim in &reply.invalidate {
-                            if *victim != node_id {
-                                remote_invalidations = true;
-                                self.invalidate_block_on_node(victim.index(), block);
-                            }
-                        }
-                        if let Some(bc) = self.nodes[nidx].block_cache.as_mut() {
-                            bc.mark_dirty(block);
-                        }
-                        if remote_invalidations {
-                            self.count_remote_miss(nidx, class);
-                            costs.remote_miss
-                        } else {
-                            let t = self.nodes[nidx].bus.issue(now, BusTransaction::BlockFill);
-                            self.nodes[nidx].stats.local_misses += 1;
-                            costs.local_miss.max(t - now)
-                        }
-                    } else {
-                        let t = self.nodes[nidx].bus.issue(now, BusTransaction::BlockFill);
-                        self.nodes[nidx].stats.local_misses += 1;
-                        costs.local_miss.max(t - now)
-                    }
-                } else {
-                    let mut latency =
-                        self.remote_fetch(nidx, node_id, home, block, is_write, class, now);
-                    // Install in the block cache (CC-NUMA family only).
-                    let victim = self.nodes[nidx].block_cache.as_mut().and_then(|bc| {
-                        bc.fill(
-                            block,
-                            if is_write {
-                                BlockState::Dirty
-                            } else {
-                                BlockState::Clean
-                            },
-                        )
-                    });
-                    if let Some((victim_block, victim_state)) = victim {
-                        self.handle_block_cache_victim(
-                            nidx,
-                            node_id,
-                            victim_block,
-                            victim_state,
-                            now,
-                        );
-                    }
-                    latency += self.policy_after_home_miss(
-                        page,
-                        home,
-                        node_id,
-                        is_write,
-                        class,
-                        now + latency,
-                    );
-                    latency
+            PageMode::SComa | PageMode::RemoteCcNuma => {
+                // The node's cache misses: fetch the block from the home (or
+                // through it, the dirty owner) and install it locally.  Only
+                // a CC-NUMA fetch reaches the home's relocation policies.
+                let latency = self.fetch_from_home(a);
+                let nidx = a.node.index();
+                let installed = self.nodes[nidx].install(a.mapping.mode, a.block, a.is_write);
+                if let Some((victim, state)) = installed {
+                    // Inclusion: the processor caches may not keep a block
+                    // the block cache no longer holds.
+                    self.on_l1s(nidx, victim, None, L1Action::Evict);
+                    self.leave_node(nidx, victim, state == BlockState::Dirty, a.now);
                 }
+                if a.mapping.mode == PageMode::SComa {
+                    return latency;
+                }
+                let ops = self.home_miss_ops(a, a.class);
+                latency + self.perform_page_ops(ops, a.now + latency)
             }
         }
     }
 
-    /// A fetch that must reach the home node (or the dirty owner) across the
-    /// network.
-    #[allow(clippy::too_many_arguments)]
-    fn remote_fetch(
-        &mut self,
-        nidx: usize,
-        node_id: NodeId,
-        home: NodeId,
-        block: BlockRef,
-        is_write: bool,
-        class: MissClass,
-        now: Cycles,
-    ) -> Cycles {
+    /// A fetch that must reach the page's home node (or the dirty owner)
+    /// across the network.
+    fn fetch_from_home(&mut self, a: &Access) -> Cycles {
         let costs = self.system.costs;
-        if home == node_id {
-            // The page migrated here since it was mapped; the fetch is local.
-            if is_write {
-                let reply = self.directory.handle_write(block.idx, node_id);
-                for victim in &reply.invalidate {
-                    if *victim != node_id {
-                        self.invalidate_block_on_node(victim.index(), block);
-                    }
-                }
-            } else {
-                self.directory.handle_read(block.idx, node_id);
-            }
-            let t = self.nodes[nidx].bus.issue(now, BusTransaction::BlockFill);
-            self.nodes[nidx].stats.local_misses += 1;
-            return costs.local_miss.max(t - now);
+        if a.home == a.node {
+            // The requester is the home (a policy relocated the page into
+            // its home's page cache, or mapped the home's own page as
+            // remote): the fetch is local, and a read leaves a dirty
+            // owner's copy as it is.
+            self.coherence(a, DirtyOwner::Keep);
+            return self.local_fill(a);
         }
-
-        let mut base = costs.remote_miss;
-        if is_write {
-            let reply = self.directory.handle_write(block.idx, node_id);
-            if let DataSource::Owner(owner) = reply.source {
-                if owner != node_id && owner != home {
-                    base = costs.dirty_remote_miss();
-                }
-            }
-            for victim in &reply.invalidate {
-                if *victim != node_id {
-                    self.invalidate_block_on_node(victim.index(), block);
-                }
-            }
-        } else {
-            let reply = self.directory.handle_read(block.idx, node_id);
-            if let DataSource::Owner(owner) = reply.source {
-                if owner != node_id {
-                    if owner != home {
-                        base = costs.dirty_remote_miss();
-                    }
-                    self.downgrade_block_on_node(owner.index(), block);
-                }
-            }
-        }
-
-        let (req, rep) = if is_write {
-            (MsgKind::WriteRequest, MsgKind::WriteReply)
-        } else {
-            (MsgKind::ReadRequest, MsgKind::ReadReply)
+        let floor = match self.coherence(a, DirtyOwner::Downgrade).dirty_owner {
+            Some(owner) if owner != a.home => costs.dirty_remote_miss(),
+            _ => costs.remote_miss,
         };
+        self.remote_miss(a, a.home, a.msgs(), floor)
+    }
+
+    /// The coherence action of an upgrade or miss: the directory transition
+    /// for the block, then a write invalidates every other node's copy and a
+    /// read downgrades (per `on_read`) the one a dirty owner holds.  No
+    /// invalidation message is sent: invalidations add latency where the
+    /// caller charges it, not traffic.
+    fn coherence(&mut self, a: &Access, on_read: DirtyOwner) -> Coherence {
+        let (source, remote_invalidated) = if a.is_write {
+            let reply = self.directory.handle_write(a.block.idx, a.node);
+            // The reply never lists the requester itself.
+            for victim in &reply.invalidate {
+                self.invalidate_block_on_node(victim.index(), a.block);
+            }
+            (reply.source, !reply.invalidate.is_empty())
+        } else {
+            let reply = self.directory.handle_read(a.block.idx, a.node);
+            (reply.source, false)
+        };
+        let dirty_owner = match source {
+            DataSource::Owner(owner) => Some(owner),
+            DataSource::HomeMemory => None,
+        };
+        if let (false, DirtyOwner::Downgrade, Some(owner)) = (a.is_write, on_read, dirty_owner) {
+            self.on_l1s(owner.index(), a.block, None, L1Action::Downgrade);
+        }
+        Coherence {
+            dirty_owner,
+            remote_invalidated,
+        }
+    }
+
+    /// A block fill over the node's memory bus, from local memory or the
+    /// node's own cache: Table 3's local miss.
+    fn local_fill(&mut self, a: &Access) -> Cycles {
+        let node = &mut self.nodes[a.node.index()];
+        let t = node.bus.issue(a.now, BusTransaction::BlockFill);
+        node.stats.local_misses += 1;
+        self.system.costs.local_miss.max(t - a.now)
+    }
+
+    /// A request to `to` and its reply, counted as a remote miss and charged
+    /// at least `floor` (the Table 3 cost), or the network time when
+    /// queueing makes that longer.
+    fn remote_miss(
+        &mut self,
+        a: &Access,
+        to: NodeId,
+        (req, reply): (MsgKind, MsgKind),
+        floor: Cycles,
+    ) -> Cycles {
         let t = self
             .network
-            .round_trip(node_id, home, now, req, rep, Cycles::ZERO);
-        self.count_remote_miss(nidx, class);
-        base.max(t - now)
+            .round_trip(a.node, to, a.now, req, reply, Cycles::ZERO);
+        self.count_remote_miss(a);
+        floor.max(t - a.now)
     }
 
-    fn count_remote_miss(&mut self, nidx: usize, class: MissClass) {
-        self.nodes[nidx].stats.remote_misses += 1;
-        if class == MissClass::CapacityConflict {
-            self.nodes[nidx].stats.remote_capacity_misses += 1;
+    fn count_remote_miss(&mut self, a: &Access) {
+        let stats = &mut self.nodes[a.node.index()].stats;
+        stats.remote_misses += 1;
+        if a.class == Some(MissClass::CapacityConflict) {
+            stats.remote_capacity_misses += 1;
         }
     }
 
-    /// Policy hooks that fire when a miss actually reached the page's home
-    /// node: every policy observes the home-counted miss and the requesting
-    /// node's refetch, and the operations they request are performed in
-    /// policy order, each charged at the time the previous one completed.
-    fn policy_after_home_miss(
-        &mut self,
-        page: PageRef,
-        home: NodeId,
-        node_id: NodeId,
-        is_write: bool,
-        class: MissClass,
-        now: Cycles,
-    ) -> Cycles {
+    /// Does the node's cache for this mapping (the page cache of an S-COMA
+    /// page, the block cache of a CC-NUMA one) hold the block?
+    fn node_cache_holds(&mut self, a: &Access) -> bool {
+        let node = &mut self.nodes[a.node.index()];
+        if a.mapping.mode == PageMode::SComa {
+            node.page_cache
+                .as_mut()
+                // dsm-lint: allow(panic-path, PageMode::SComa is only assigned on nodes constructed with a page cache; the pairing is a construction invariant)
+                .expect("S-COMA mapping without a page cache")
+                .lookup_block(a.block.idx)
+        } else {
+            node.block_cache
+                .as_mut()
+                .is_some_and(|bc| bc.lookup(a.block).is_some())
+        }
+    }
+
+    /// Policy hooks for a miss counted by the page's home node: every
+    /// policy observes it (and, given the class of a CC-NUMA refetch, the
+    /// requester's refetch) and hands over the page operations it wants.
+    fn home_miss_ops(&mut self, a: &Access, refetch: Option<MissClass>) -> Vec<PageOp> {
         let mut ops = Vec::new();
         for policy in &mut self.policies {
-            policy.on_remote_miss(page, home, node_id, is_write);
-            policy.on_refetch(node_id, page, class);
-            ops.extend(policy.drain_ops());
-        }
-        let mut extra = Cycles::ZERO;
-        for op in ops {
-            extra += self.perform_page_op(op, now + extra);
-        }
-        extra
-    }
-
-    /// Let every policy count a miss that reached `page`'s home node, and
-    /// collect the page operations they want performed in response.
-    fn record_home_miss(
-        &mut self,
-        page: PageRef,
-        home: NodeId,
-        requester: NodeId,
-        is_write: bool,
-    ) -> Vec<PageOp> {
-        let mut ops = Vec::new();
-        for policy in &mut self.policies {
-            policy.on_remote_miss(page, home, requester, is_write);
+            policy.on_remote_miss(a.page, a.home, a.node, a.is_write);
+            if let Some(class) = refetch {
+                policy.on_refetch(a.node, a.page, class);
+            }
             ops.extend(policy.drain_ops());
         }
         ops
+    }
+
+    /// Perform `ops` in order, each starting when the previous one ended;
+    /// returns their total latency.
+    fn perform_page_ops(&mut self, ops: Vec<PageOp>, start: Cycles) -> Cycles {
+        let mut extra = Cycles::ZERO;
+        for op in ops {
+            extra += self.perform_page_op(op, start + extra);
+        }
+        extra
     }
 
     /// Report a completed page operation to every policy.
@@ -1127,6 +945,7 @@ impl<'a> RunState<'a> {
             if let Some(mp) = node.page_table.lookup(page.idx) {
                 node.page_table.set_home(page.idx, to);
                 if here == to {
+                    // The new home drops its S-COMA copy of the page.
                     if mp.mode == PageMode::SComa {
                         if let Some(pc) = node.page_cache.as_mut() {
                             pc.deallocate(page.idx);
@@ -1150,15 +969,11 @@ impl<'a> RunState<'a> {
         latency
     }
 
-    fn switch_page_to_read_write(
-        &mut self,
-        page: PageRef,
-        writer_nidx: usize,
-        writer_node: NodeId,
-        now: Cycles,
-    ) -> Cycles {
+    /// A write to a read-only replica: every replica holder flushes the page
+    /// and maps it read-write again, as does the writer.
+    fn switch_page_to_read_write(&mut self, page: PageRef, writer: NodeId, now: Cycles) -> Cycles {
         let costs = self.system.costs;
-        let home = self.placement.home_of(page.idx).unwrap_or(writer_node);
+        let home = self.home_of(page.idx, writer);
         let holders: Vec<NodeId> = self
             .policies
             .iter_mut()
@@ -1166,105 +981,76 @@ impl<'a> RunState<'a> {
             .collect();
 
         let mut flushed_blocks = 0u32;
-        let mut t = self
-            .network
-            .send(writer_node, home, now, MsgKind::PageControl);
+        let mut t = self.network.send(writer, home, now, MsgKind::PageControl);
         for holder in &holders {
             t = self.network.send(home, *holder, t, MsgKind::PageControl);
             flushed_blocks += self.flush_page_on_node(holder.index(), page);
-            let mode = if *holder == home {
-                PageMode::LocalHome
-            } else {
-                PageMode::RemoteCcNuma
-            };
             self.nodes[holder.index()]
                 .page_table
-                .map(page.idx, PageMapping::new(mode, home));
+                .map(page.idx, cc_numa_mapping(*holder, home));
         }
         // The writer's own mapping reverts to a normal read-write mapping
         // even if (defensively) it was not registered as a replica holder.
-        let writer_mode = if writer_node == home {
-            PageMode::LocalHome
-        } else {
-            PageMode::RemoteCcNuma
-        };
-        self.nodes[writer_nidx]
+        self.nodes[writer.index()]
             .page_table
-            .map(page.idx, PageMapping::new(writer_mode, home));
+            .map(page.idx, cc_numa_mapping(writer, home));
 
         let latency = (costs.page_gather_cost_at(flushed_blocks, self.geometry.blocks_per_page())
             + costs.tlb_shootdown * (holders.len() as u64).max(1))
         .max(t - now);
-        self.nodes[writer_nidx].stats.switches_to_rw += 1;
-        self.nodes[writer_nidx].stats.page_op_cycles += latency;
+        self.nodes[writer.index()].stats.switches_to_rw += 1;
+        self.nodes[writer.index()].stats.page_op_cycles += latency;
         latency
     }
 
-    fn relocate_page(&mut self, page: PageRef, node_id: NodeId, now: Cycles) -> Cycles {
+    fn relocate_page(&mut self, page: PageRef, node: NodeId, now: Cycles) -> Cycles {
         let costs = self.system.costs;
-        let nidx = node_id.index();
-        // Flush the node's cached blocks of the page; they will be refetched
+        let bpp = self.geometry.blocks_per_page();
+        let nidx = node.index();
         // A policy may request relocation on a system whose nodes have no
         // S-COMA page cache (e.g. a third-party policy attached to a
         // CC-NUMA base); there is nowhere to relocate to, so the operation
         // is ignored rather than performed.
-        if self.nodes[nidx].page_cache.is_none() {
+        let Some(pc) = self.nodes[nidx].page_cache.as_mut() else {
             return Cycles::ZERO;
-        }
+        };
+        let outcome = pc.allocate(page);
+        // Flush the node's cached blocks of the page; they will be refetched
         // on demand into the page cache.
-        let flushed = self.flush_page_on_node(nidx, page);
-        for block in self.geometry.block_indices(page.idx) {
-            self.directory.handle_eviction(block, node_id);
-        }
+        let flushed = self.evict_page_from_node(nidx, page);
 
         let mut extra = Cycles::ZERO;
-        let outcome = self.nodes[nidx]
-            .page_cache
-            .as_mut()
-            // dsm-lint: allow(panic-path, relocation only runs for systems whose nodes are constructed with page caches)
-            .expect("relocation without a page cache")
-            .allocate(page);
         if let AllocOutcome::Replaced {
             victim,
             victim_blocks,
             victim_dirty,
         } = outcome
         {
-            let victim_home = self.placement.home_of(victim.idx).unwrap_or(node_id);
-            let victim_mode = if victim_home == node_id {
-                PageMode::LocalHome
-            } else {
-                PageMode::RemoteCcNuma
-            };
+            // The victim page falls back to its CC-NUMA mapping, and its
+            // dirty blocks go home.
+            let victim_home = self.home_of(victim.idx, node);
             self.nodes[nidx]
                 .page_table
-                .map(victim.idx, PageMapping::new(victim_mode, victim_home));
-            let victim_l1 = self.flush_page_on_node(nidx, victim);
+                .map(victim.idx, cc_numa_mapping(node, victim_home));
+            let victim_l1 = self.evict_page_from_node(nidx, victim);
             let mut t = now;
             for _ in 0..victim_dirty {
-                t = self
-                    .network
-                    .send(node_id, victim_home, t, MsgKind::WriteBack);
-            }
-            for block in self.geometry.block_indices(victim.idx) {
-                self.directory.handle_eviction(block, node_id);
+                t = self.network.send(node, victim_home, t, MsgKind::WriteBack);
             }
             extra += costs
-                .page_alloc_cost_at(victim_blocks + victim_l1, self.geometry.blocks_per_page())
+                .page_alloc_cost_at(victim_blocks + victim_l1, bpp)
                 .max(t - now);
             self.nodes[nidx].stats.page_cache_replacements += 1;
         }
 
-        let home = self.placement.home_of(page.idx).unwrap_or(node_id);
+        let home = self.home_of(page.idx, node);
         self.nodes[nidx]
             .page_table
             .map(page.idx, PageMapping::new(PageMode::SComa, home));
-        self.notify_op_performed(&PageOp::Relocate { page, to: node_id });
+        self.notify_op_performed(&PageOp::Relocate { page, to: node });
 
-        let latency = costs.soft_trap
-            + costs.tlb_shootdown
-            + costs.page_alloc_cost_at(flushed, self.geometry.blocks_per_page())
-            + extra;
+        let latency =
+            costs.soft_trap + costs.tlb_shootdown + costs.page_alloc_cost_at(flushed, bpp) + extra;
         self.nodes[nidx].stats.relocations += 1;
         self.nodes[nidx].stats.page_op_cycles += latency;
         latency
@@ -1274,72 +1060,36 @@ impl<'a> RunState<'a> {
     // Coherence helpers
     // ------------------------------------------------------------------
 
+    /// `page`'s home node; a page not placed yet counts as homed on `node`.
+    fn home_of(&self, page: PageIdx, node: NodeId) -> NodeId {
+        self.placement.home_of(page).unwrap_or(node)
+    }
+
     /// Invalidate `block` everywhere on a node (processor caches, block
     /// cache, page cache).
     fn invalidate_block_on_node(&mut self, nidx: usize, block: BlockRef) {
-        let topo = self.machine.topology;
-        for proc in topo.procs_of(NodeId(nidx as u16)) {
-            let p = &mut self.procs[proc.index()];
-            if p.cache.invalidate(block).is_valid() {
-                p.classifier.record_invalidation(block.idx);
-            }
-        }
-        if let Some(bc) = self.nodes[nidx].block_cache.as_mut() {
-            bc.invalidate(block);
-        }
-        if let Some(pc) = self.nodes[nidx].page_cache.as_mut() {
-            pc.invalidate_block(block.idx);
-        }
+        self.on_l1s(nidx, block, None, L1Action::Invalidate);
+        self.nodes[nidx].invalidate(block);
     }
 
-    /// Downgrade `block` to a shared state everywhere on a node.
-    fn downgrade_block_on_node(&mut self, nidx: usize, block: BlockRef) {
-        let topo = self.machine.topology;
-        for proc in topo.procs_of(NodeId(nidx as u16)) {
-            self.procs[proc.index()].cache.downgrade(block);
-        }
-    }
-
-    /// Intra-node coherence: a write by one processor invalidates the copies
-    /// held by its siblings on the same node.
-    fn invalidate_block_in_sibling_procs(
-        &mut self,
-        nidx: usize,
-        writer_pid: usize,
-        block: BlockRef,
-    ) {
-        let topo = self.machine.topology;
-        for proc in topo.procs_of(NodeId(nidx as u16)) {
-            if proc.index() == writer_pid {
+    /// Apply `action` to `block` in the processor caches of node `nidx`,
+    /// skipping processor `except`.
+    #[inline]
+    fn on_l1s(&mut self, nidx: usize, block: BlockRef, except: Option<usize>, action: L1Action) {
+        for proc in self.machine.topology.procs_of(NodeId(nidx as u16)) {
+            if except == Some(proc.index()) {
                 continue;
             }
-            let p = &mut self.procs[proc.index()];
-            if p.cache.invalidate(block).is_valid() {
-                p.classifier.record_invalidation(block.idx);
-            }
+            self.procs[proc.index()].apply(action, block);
         }
     }
 
-    /// Drop every cached block of `page` on a node (page flush).  Departures
-    /// are recorded as evictions so the subsequent refetches are classified
-    /// capacity/conflict, as the paper does for relocation-induced refetches.
+    /// Drop every cached block of `page` on a node (page flush); returns
+    /// the blocks dropped.
     fn flush_page_on_node(&mut self, nidx: usize, page: PageRef) -> u32 {
-        let topo = self.machine.topology;
-        let geometry = self.geometry;
         let mut flushed = 0u32;
-        for proc in topo.procs_of(NodeId(nidx as u16)) {
-            let p = &mut self.procs[proc.index()];
-            let resident: Vec<BlockRef> = p
-                .cache
-                .resident_blocks()
-                .filter(|(b, _)| geometry.page_of_block_idx(b.idx) == page.idx)
-                .map(|(b, _)| b)
-                .collect();
-            for block in resident {
-                p.cache.invalidate(block);
-                p.classifier.record_eviction(block.idx);
-                flushed += 1;
-            }
+        for proc in self.machine.topology.procs_of(NodeId(nidx as u16)) {
+            flushed += self.procs[proc.index()].flush_page(self.geometry, page.idx);
         }
         if let Some(bc) = self.nodes[nidx].block_cache.as_mut() {
             flushed += bc.flush_page(page).len() as u32;
@@ -1347,69 +1097,103 @@ impl<'a> RunState<'a> {
         flushed
     }
 
-    fn handle_l1_victim(
-        &mut self,
-        pid: usize,
-        nidx: usize,
-        node_id: NodeId,
-        victim: Victim,
-        now: Cycles,
-    ) {
+    /// Flush `page` from node `nidx` and drop the node from the directory's
+    /// sharers of every block of the page; returns the blocks flushed.
+    fn evict_page_from_node(&mut self, nidx: usize, page: PageRef) -> u32 {
+        let flushed = self.flush_page_on_node(nidx, page);
+        for block in self.geometry.block_indices(page.idx) {
+            self.directory.handle_eviction(block, NodeId(nidx as u16));
+        }
+        flushed
+    }
+
+    /// A processor-cache victim: a dirty one is written back over the bus
+    /// into the node's block or page cache, or, for a CC-NUMA page no block
+    /// cache holds, across the network to its home.
+    fn handle_l1_victim(&mut self, pid: usize, nidx: usize, victim: Victim, now: Cycles) {
         self.procs[pid].classifier.record_eviction(victim.block.idx);
         if !victim.state.is_dirty() {
             return;
         }
         self.nodes[nidx].bus.issue(now, BusTransaction::WriteBack);
         let vpage = self.geometry.page_of_block_idx(victim.block.idx);
-        let mode = self.nodes[nidx].page_table.lookup(vpage).map(|m| m.mode);
-        match mode {
-            Some(PageMode::RemoteCcNuma) => {
-                let written_back_locally = self.nodes[nidx]
-                    .block_cache
-                    .as_mut()
-                    .map(|bc| bc.mark_dirty(victim.block))
-                    .unwrap_or(false);
-                if !written_back_locally {
-                    // No block cache (or not present): the dirty block goes
-                    // straight back to its home.
-                    let home = self.placement.home_of(vpage).unwrap_or(node_id);
-                    self.network.send(node_id, home, now, MsgKind::WriteBack);
-                    self.directory.handle_eviction(victim.block.idx, node_id);
-                }
-            }
-            Some(PageMode::SComa) => {
-                if let Some(pc) = self.nodes[nidx].page_cache.as_mut() {
-                    pc.mark_dirty(victim.block.idx);
-                }
-            }
-            _ => {}
+        let Some(mode) = self.nodes[nidx].page_table.lookup(vpage).map(|m| m.mode) else {
+            return;
+        };
+        if !self.nodes[nidx].mark_dirty(mode, victim.block) && mode == PageMode::RemoteCcNuma {
+            self.leave_node(nidx, victim.block, true, now);
         }
     }
 
-    fn handle_block_cache_victim(
-        &mut self,
-        nidx: usize,
-        node_id: NodeId,
-        victim_block: BlockRef,
-        victim_state: BlockState,
-        now: Cycles,
-    ) {
-        // Inclusion: the processor caches may not keep a block the block
-        // cache no longer holds.
-        let topo = self.machine.topology;
-        for proc in topo.procs_of(NodeId(nidx as u16)) {
-            let p = &mut self.procs[proc.index()];
-            if p.cache.invalidate(victim_block).is_valid() {
-                p.classifier.record_eviction(victim_block.idx);
-            }
+    /// `block` leaves node `nidx`: written back to its home if `dirty`,
+    /// and dropped from the directory's sharers.
+    fn leave_node(&mut self, nidx: usize, block: BlockRef, dirty: bool, now: Cycles) {
+        let node = NodeId(nidx as u16);
+        if dirty {
+            let home = self.home_of(self.geometry.page_of_block_idx(block.idx), node);
+            self.network.send(node, home, now, MsgKind::WriteBack);
         }
-        let vpage = self.geometry.page_of_block_idx(victim_block.idx);
-        let home = self.placement.home_of(vpage).unwrap_or(node_id);
-        if victim_state == BlockState::Dirty {
-            self.network.send(node_id, home, now, MsgKind::WriteBack);
-        }
-        self.directory.handle_eviction(victim_block.idx, node_id);
+        self.directory.handle_eviction(block.idx, node);
     }
+}
+
+/// The plain CC-NUMA mapping of a page on `node`: local if `node` is its
+/// home, remote otherwise.
+fn cc_numa_mapping(node: NodeId, home: NodeId) -> PageMapping {
+    let mode = if node == home {
+        PageMode::LocalHome
+    } else {
+        PageMode::RemoteCcNuma
+    };
+    PageMapping::new(mode, home)
+}
+
+/// An access past its processor cache: the request an upgrade or a data
+/// miss puts to the node's memory system.
+#[derive(Debug, Clone, Copy)]
+struct Access {
+    /// The issuing processor's node.
+    node: NodeId,
+    page: PageRef,
+    block: BlockRef,
+    is_write: bool,
+    /// The page's home node.
+    home: NodeId,
+    /// How the issuing node maps the page.
+    mapping: PageMapping,
+    /// The data miss's class; `None` for an upgrade, which the classifier
+    /// does not see.
+    class: Option<MissClass>,
+    /// When the request leaves the processor.
+    now: Cycles,
+}
+
+impl Access {
+    /// The request and reply messages of this access's kind.
+    fn msgs(&self) -> (MsgKind, MsgKind) {
+        if self.is_write {
+            (MsgKind::WriteRequest, MsgKind::WriteReply)
+        } else {
+            (MsgKind::ReadRequest, MsgKind::ReadReply)
+        }
+    }
+}
+
+/// What [`RunState::coherence`] found.
+struct Coherence {
+    /// Another node that held the block dirty and supplies it.
+    dirty_owner: Option<NodeId>,
+    /// A write invalidated at least one other node's copy.
+    remote_invalidated: bool,
+}
+
+/// What a read does to the copy a dirty owner holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DirtyOwner {
+    /// Downgrade it to shared.
+    Downgrade,
+    /// Leave it as it is: only a fetch whose requester is the page's home.
+    Keep,
 }
 
 #[cfg(test)]

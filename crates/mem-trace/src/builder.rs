@@ -5,15 +5,12 @@
 //! processors and applies a configurable "compute cost per access" so that
 //! generators stay declarative.
 //!
-//! Three layers:
+//! Two layers:
 //!
-//! * [`StepWriter`] is the sink-less core: it owns the emission state
-//!   (barrier numbering, per-processor event counts, think cycles) but
-//!   *borrows* the [`EventSink`] per call, so a generator can hold it
-//!   across calls that each hand it a different sink.
-//! * [`TraceWriter`] owns its sink — a set of in-memory vectors, or any
-//!   other [`EventSink`]: the same generator code produces the same event
-//!   sequences no matter where they go.
+//! * [`TraceWriter`] owns the emission state (barrier numbering,
+//!   per-processor event counts, think cycles) and its sink — a set of
+//!   in-memory vectors, or any other [`EventSink`]: the same generator code
+//!   produces the same event sequences no matter where they go.
 //! * [`TraceBuilder`] is the classic materializing front-end: a
 //!   `TraceWriter` over per-processor vectors plus [`TraceBuilder::build`]
 //!   returning a [`ProgramTrace`].
@@ -34,7 +31,7 @@ pub trait EventSink {
     /// `proc` will emit nothing further (an explicit end-of-stream marker).
     ///
     /// Generators signal this as soon as a processor's stream is complete —
-    /// [`StepWriter::finish`] does it for every processor at once — so a
+    /// [`TraceWriter::finish`] does it for every processor at once — so a
     /// consumer that sees processors interleaved can answer "is this
     /// processor done?" without waiting for the rest of every other stream.
     /// Sinks that do not care (the materializing vectors) ignore it.
@@ -60,31 +57,34 @@ impl<S: EventSink + ?Sized> EventSink for &mut S {
     }
 }
 
-/// The sink-less emission core: barrier numbering, per-processor event
-/// counts and the implicit think-cycle delay, with the [`EventSink`]
-/// borrowed per call instead of owned.
+/// Emits well-formed per-processor trace events into an owned [`EventSink`]:
+/// barrier numbering, per-processor event counts and the implicit
+/// think-cycle delay.
 ///
-/// A generator can keep its `StepWriter` (and loop counters) across calls
-/// that each hand it whatever sink is current.  [`TraceWriter`] wraps this
-/// core with an owned sink for straight-line generators.
+/// This is the generator-facing half of [`TraceBuilder`], generic over where
+/// the events go so straight-line generator code can produce a
+/// materialized [`ProgramTrace`] or feed any other sink from the same code
+/// path.
 #[derive(Debug, Clone)]
-pub struct StepWriter {
+pub struct TraceWriter<S: EventSink> {
     topology: Topology,
     next_barrier: u32,
     emitted: Vec<usize>,
     /// Compute cycles automatically inserted before every access, modelling
     /// the non-shared work between shared references.
-    pub think_cycles: u32,
+    think_cycles: u32,
+    sink: S,
 }
 
-impl StepWriter {
-    /// Start emission state for a trace over `topology`.
-    pub fn new(topology: Topology) -> Self {
-        StepWriter {
+impl<S: EventSink> TraceWriter<S> {
+    /// Start writing a trace for `topology` into `sink`.
+    pub fn new(topology: Topology, sink: S) -> Self {
+        TraceWriter {
             topology,
             next_barrier: 0,
             emitted: vec![0; topology.total_procs()],
             think_cycles: 0,
+            sink,
         }
     }
 
@@ -94,55 +94,60 @@ impl StepWriter {
         self
     }
 
+    /// The implicit compute delay inserted before each access.
+    pub fn think_cycles(&self) -> u32 {
+        self.think_cycles
+    }
+
     /// The topology this trace targets.
     pub fn topology(&self) -> Topology {
         self.topology
     }
 
     /// Emit a shared-memory read by `proc`.
-    pub fn read(&mut self, sink: &mut dyn EventSink, proc: ProcId, addr: GlobalAddr) {
-        self.pre_access(sink, proc);
-        self.emit(sink, proc, TraceEvent::read(addr));
+    pub fn read(&mut self, proc: ProcId, addr: GlobalAddr) {
+        self.pre_access(proc);
+        self.emit(proc, TraceEvent::read(addr));
     }
 
     /// Emit a shared-memory write by `proc`.
-    pub fn write(&mut self, sink: &mut dyn EventSink, proc: ProcId, addr: GlobalAddr) {
-        self.pre_access(sink, proc);
-        self.emit(sink, proc, TraceEvent::write(addr));
+    pub fn write(&mut self, proc: ProcId, addr: GlobalAddr) {
+        self.pre_access(proc);
+        self.emit(proc, TraceEvent::write(addr));
     }
 
     /// Emit an explicit compute delay on `proc`.
-    pub fn compute(&mut self, sink: &mut dyn EventSink, proc: ProcId, cycles: u32) {
+    pub fn compute(&mut self, proc: ProcId, cycles: u32) {
         if cycles > 0 {
-            self.emit(sink, proc, TraceEvent::Compute(cycles));
+            self.emit(proc, TraceEvent::Compute(cycles));
         }
     }
 
     /// Emit a lock acquire on `proc`.
-    pub fn lock(&mut self, sink: &mut dyn EventSink, proc: ProcId, lock: u32) {
-        self.emit(sink, proc, TraceEvent::Lock(lock));
+    pub fn lock(&mut self, proc: ProcId, lock: u32) {
+        self.emit(proc, TraceEvent::Lock(lock));
     }
 
     /// Emit a lock release on `proc`.
-    pub fn unlock(&mut self, sink: &mut dyn EventSink, proc: ProcId, lock: u32) {
-        self.emit(sink, proc, TraceEvent::Unlock(lock));
+    pub fn unlock(&mut self, proc: ProcId, lock: u32) {
+        self.emit(proc, TraceEvent::Unlock(lock));
     }
 
     /// Emit a global barrier: every processor gets the same fresh barrier id.
-    pub fn barrier_all(&mut self, sink: &mut dyn EventSink) {
+    pub fn barrier_all(&mut self) {
         let id = self.next_barrier;
         self.next_barrier += 1;
         for p in 0..self.topology.total_procs() {
-            self.emit(sink, ProcId(p as u16), TraceEvent::Barrier(id));
+            self.emit(ProcId(p as u16), TraceEvent::Barrier(id));
         }
     }
 
     /// Mark every processor's stream complete (the generators end all
     /// processors together at their final barrier).  Call exactly once, at
     /// the end of emission.
-    pub fn finish(&mut self, sink: &mut dyn EventSink) {
+    pub fn finish(&mut self) {
         for p in 0..self.topology.total_procs() {
-            sink.end_of_stream(ProcId(p as u16));
+            self.sink.end_of_stream(ProcId(p as u16));
         }
     }
 
@@ -156,104 +161,20 @@ impl StepWriter {
         self.emitted[proc.index()]
     }
 
-    fn emit(&mut self, sink: &mut dyn EventSink, proc: ProcId, ev: TraceEvent) {
-        self.emitted[proc.index()] += 1;
-        sink.event(proc, ev);
-    }
-
-    fn pre_access(&mut self, sink: &mut dyn EventSink, proc: ProcId) {
-        if self.think_cycles > 0 {
-            self.emit(sink, proc, TraceEvent::Compute(self.think_cycles));
-        }
-    }
-}
-
-/// Emits well-formed per-processor trace events into an owned [`EventSink`].
-///
-/// This is the generator-facing half of [`TraceBuilder`], generic over where
-/// the events go so straight-line generator code can produce a
-/// materialized [`ProgramTrace`] or feed any other sink from the same code
-/// path.  (Generators that borrow the sink per call use the underlying
-/// [`StepWriter`] directly.)
-#[derive(Debug, Clone)]
-pub struct TraceWriter<S: EventSink> {
-    core: StepWriter,
-    sink: S,
-}
-
-impl<S: EventSink> TraceWriter<S> {
-    /// Start writing a trace for `topology` into `sink`.
-    pub fn new(topology: Topology, sink: S) -> Self {
-        TraceWriter {
-            core: StepWriter::new(topology),
-            sink,
-        }
-    }
-
-    /// Set the implicit compute delay inserted before each access.
-    pub fn with_think_cycles(mut self, cycles: u32) -> Self {
-        self.core.think_cycles = cycles;
-        self
-    }
-
-    /// The implicit compute delay inserted before each access.
-    pub fn think_cycles(&self) -> u32 {
-        self.core.think_cycles
-    }
-
-    /// The topology this trace targets.
-    pub fn topology(&self) -> Topology {
-        self.core.topology()
-    }
-
-    /// Emit a shared-memory read by `proc`.
-    pub fn read(&mut self, proc: ProcId, addr: GlobalAddr) {
-        self.core.read(&mut self.sink, proc, addr);
-    }
-
-    /// Emit a shared-memory write by `proc`.
-    pub fn write(&mut self, proc: ProcId, addr: GlobalAddr) {
-        self.core.write(&mut self.sink, proc, addr);
-    }
-
-    /// Emit an explicit compute delay on `proc`.
-    pub fn compute(&mut self, proc: ProcId, cycles: u32) {
-        self.core.compute(&mut self.sink, proc, cycles);
-    }
-
-    /// Emit a lock acquire on `proc`.
-    pub fn lock(&mut self, proc: ProcId, lock: u32) {
-        self.core.lock(&mut self.sink, proc, lock);
-    }
-
-    /// Emit a lock release on `proc`.
-    pub fn unlock(&mut self, proc: ProcId, lock: u32) {
-        self.core.unlock(&mut self.sink, proc, lock);
-    }
-
-    /// Emit a global barrier: every processor gets the same fresh barrier id.
-    pub fn barrier_all(&mut self) {
-        self.core.barrier_all(&mut self.sink);
-    }
-
-    /// Mark every processor's stream complete (see [`StepWriter::finish`]).
-    pub fn finish(&mut self) {
-        self.core.finish(&mut self.sink);
-    }
-
-    /// Number of barriers emitted so far.
-    pub fn barriers_emitted(&self) -> u32 {
-        self.core.barriers_emitted()
-    }
-
-    /// Number of events emitted by `proc` so far.
-    pub fn events_emitted(&self, proc: ProcId) -> usize {
-        self.core.events_emitted(proc)
-    }
-
     /// Finish writing and recover the sink.
     pub fn into_sink(self) -> S {
         self.sink
+    }
+
+    fn emit(&mut self, proc: ProcId, ev: TraceEvent) {
+        self.emitted[proc.index()] += 1;
+        self.sink.event(proc, ev);
+    }
+
+    fn pre_access(&mut self, proc: ProcId) {
+        if self.think_cycles > 0 {
+            self.emit(proc, TraceEvent::Compute(self.think_cycles));
+        }
     }
 }
 
@@ -421,33 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn step_writer_matches_owned_writer_across_borrows() {
-        // The sink-less core, handed its sink one call at a time, emits
-        // exactly what the owned writer does.
-        let topo = Topology::new(2, 1);
-        let mut direct = TraceBuilder::new("t", topo).with_think_cycles(2);
-        direct.read(ProcId(0), GlobalAddr(0));
-        direct.barrier_all();
-        direct.lock(ProcId(1), 3);
-        direct.write(ProcId(1), GlobalAddr(64));
-        direct.unlock(ProcId(1), 3);
-        let direct = direct.build();
-
-        let mut vecs: Vec<Vec<TraceEvent>> = vec![Vec::new(); topo.total_procs()];
-        let mut w = StepWriter::new(topo).with_think_cycles(2);
-        w.read(&mut vecs, ProcId(0), GlobalAddr(0));
-        w.barrier_all(&mut vecs);
-        w.lock(&mut vecs, ProcId(1), 3);
-        w.write(&mut vecs, ProcId(1), GlobalAddr(64));
-        w.unlock(&mut vecs, ProcId(1), 3);
-        w.finish(&mut vecs); // no-op for the materializing sink
-        assert_eq!(direct.per_proc, vecs);
-        assert_eq!(w.barriers_emitted(), 1);
-        // barrier + lock + think + write + unlock
-        assert_eq!(w.events_emitted(ProcId(1)), 5);
-    }
-
-    #[test]
     fn end_of_stream_defaults_to_a_no_op() {
         struct CountingSink {
             events: usize,
@@ -466,9 +360,9 @@ mod tests {
             events: 0,
             ends: Vec::new(),
         };
-        let mut w = StepWriter::new(topo);
-        w.write(&mut sink, ProcId(0), GlobalAddr(0));
-        w.finish(&mut sink);
+        let mut w = TraceWriter::new(topo, &mut sink);
+        w.write(ProcId(0), GlobalAddr(0));
+        w.finish();
         assert_eq!(sink.events, 1);
         assert_eq!(sink.ends, vec![0, 1]);
     }

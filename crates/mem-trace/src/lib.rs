@@ -41,7 +41,7 @@ pub use addr::{
     BlockId, DirectMap, Geometry, GlobalAddr, NodeId, PageId, ProcId, Topology, BLOCKS_PER_PAGE,
     BLOCK_SIZE, PAGE_SIZE,
 };
-pub use builder::{EventSink, StepWriter, TraceBuilder, TraceWriter};
+pub use builder::{EventSink, TraceBuilder, TraceWriter};
 pub use intern::{BlockIdx, BlockRef, PageIdx, PageInterner, PageRef, Slab};
 pub use layout::{AddressSpace, Segment};
 pub use replay::{record, record_to_file, ReplaySource};

@@ -121,12 +121,6 @@ pub fn fused(workload: &dyn Workload, cfg: &WorkloadConfig) -> FusedSource {
     FusedSource::new(workload.name(), cfg.topology, workload.generator(cfg))
 }
 
-/// [`fused`] for a caller holding the workload by value: the same source,
-/// the same streams.
-pub fn stream(workload: Box<dyn Workload>, cfg: WorkloadConfig) -> FusedSource {
-    fused(&*workload, &cfg)
-}
-
 /// All seven workloads in Table 2 order.
 pub fn catalog() -> Vec<Box<dyn Workload>> {
     vec![

@@ -6,8 +6,6 @@
 //! `ulimit -v` address-space ceiling sized so that the streamed path
 //! completes while the materialized path aborts on allocation — the
 //! executable proof that streaming keeps peak memory flat at paper scale.
-//! `--stream` is the same fused run as `--fused`, reported as
-//! `mode=streamed`.
 //!
 //! `--adversarial` proves the window cap of the one source that still
 //! parks events, `ReplaySource`: it replays a DSMTRC01 trace in which every
@@ -18,7 +16,7 @@
 //! parked records would exceed.
 //!
 //! ```text
-//! memsmoke [--materialize|--fused|--stream|--adversarial]
+//! memsmoke [--materialize|--fused|--adversarial]
 //!          [--paper] [--workload NAME] [--system cc-numa|r-numa]
 //! ```
 
@@ -32,7 +30,6 @@ enum Mode {
 
 fn main() {
     let mut mode = Mode::Fused;
-    let mut label = "streamed";
     let mut scale = Scale::Paper;
     let mut workload = String::from("radix");
     let mut system = String::from("cc-numa");
@@ -41,8 +38,7 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--materialize" => mode = Mode::Materialize,
-            "--fused" => (mode, label) = (Mode::Fused, "fused"),
-            "--stream" => (mode, label) = (Mode::Fused, "streamed"),
+            "--fused" => mode = Mode::Fused,
             "--adversarial" => mode = Mode::Adversarial,
             "--paper" => scale = Scale::Paper,
             "--reduced" => scale = Scale::Reduced,
@@ -58,7 +54,7 @@ fn main() {
             }
             "-h" | "--help" => {
                 println!(
-                    "usage: memsmoke [--materialize|--fused|--stream|--adversarial] \
+                    "usage: memsmoke [--materialize|--fused|--adversarial] \
                      [--paper|--reduced] [--workload NAME] [--system cc-numa|r-numa]"
                 );
                 return;
@@ -86,7 +82,7 @@ fn main() {
             let trace = wl.generate(&cfg);
             ("materialized", sim.run(&trace))
         }
-        Mode::Fused => (label, sim.run_source(&mut fused(wl.as_ref(), &cfg))),
+        Mode::Fused => ("fused", sim.run_source(&mut fused(wl.as_ref(), &cfg))),
         Mode::Adversarial => unreachable!("handled above"),
     };
     println!(

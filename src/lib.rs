@@ -52,7 +52,7 @@ pub mod prelude {
         SharerSet, Topology, TraceBuilder, TraceError, TraceSource, BLOCK_SIZE, PAGE_SIZE,
     };
     pub use splash_workloads::{
-        by_name, catalog, fused, stream, CustomScale, Scale, Workload, WorkloadConfig,
+        by_name, catalog, fused, CustomScale, Scale, Workload, WorkloadConfig,
     };
 }
 

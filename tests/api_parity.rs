@@ -269,7 +269,7 @@ fn streamed_and_materialized_runs_are_bit_identical_for_all_workloads() {
     for w in catalog() {
         let trace = w.generate(&cfg);
         let materialized = sim.run(&trace);
-        let mut source = stream(by_name(w.name()).expect("catalog name"), cfg);
+        let mut source = fused(&*by_name(w.name()).expect("catalog name"), &cfg);
         let streamed = sim.run_source(&mut source);
         assert_eq!(
             materialized,
@@ -301,10 +301,10 @@ fn paper_scale_radix_streams_inside_a_ceiling_the_materialized_path_exceeds() {
             .expect("spawn memsmoke under ulimit")
     };
 
-    let streamed = run("--stream");
+    let streamed = run("--fused");
     let stdout = String::from_utf8_lossy(&streamed.stdout);
     assert!(
-        streamed.status.success() && stdout.contains("mode=streamed"),
+        streamed.status.success() && stdout.contains("mode=fused"),
         "streamed paper-scale radix failed under the {CEILING_KB} KB ceiling: {stdout}\n{}",
         String::from_utf8_lossy(&streamed.stderr)
     );

@@ -48,7 +48,7 @@ fn every_workload_system_pair_is_bit_deterministic_across_runs() {
         for system in systems() {
             let sim = ClusterSimulator::new(machine, system.clone());
             let run = || {
-                let mut source = stream(by_name(workload.name()).expect("catalog name"), cfg);
+                let mut source = fused(&*by_name(workload.name()).expect("catalog name"), &cfg);
                 sim.run_source(&mut source)
             };
             let a = run();

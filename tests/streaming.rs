@@ -15,7 +15,7 @@ fn streamed_stats_equal_batch_stats_for_all_workloads() {
     let cfg = WorkloadConfig::reduced();
     for w in catalog() {
         let batch = w.generate(&cfg).stats();
-        let mut source = stream(by_name(w.name()).expect("catalog name"), cfg);
+        let mut source = fused(&*by_name(w.name()).expect("catalog name"), &cfg);
         for p in cfg.topology.proc_ids() {
             while source.next_event(p).is_some() {}
         }
@@ -201,7 +201,7 @@ fn workload_streams_survive_adversarial_pull_orders_within_the_window() {
 fn recorded_traces_replay_bit_identically() {
     let cfg = WorkloadConfig::reduced();
     let path = std::env::temp_dir().join("dsm-repro-streaming-ocean.trc");
-    let mut source = stream(by_name("ocean").unwrap(), cfg);
+    let mut source = fused(&*by_name("ocean").unwrap(), &cfg);
     dsm_repro::trace::record_to_file(&mut source, &path).expect("record ocean");
     // Recording drained the stream completely: stats match the batch path.
     assert_eq!(
