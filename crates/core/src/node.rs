@@ -30,7 +30,7 @@ pub struct ProcState {
 
 /// What a coherence or inclusion action does to a processor's copy of a
 /// block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum L1Action {
     /// Another writer took the block: a later miss is a coherence miss.
     Invalidate,

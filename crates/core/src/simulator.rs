@@ -1179,7 +1179,7 @@ impl Access {
     }
 }
 
-/// What [`RunState::coherence`] found.
+/// What `RunState::coherence` found.
 struct Coherence {
     /// Another node that held the block dirty and supplies it.
     dirty_owner: Option<NodeId>,
@@ -1188,7 +1188,7 @@ struct Coherence {
 }
 
 /// What a read does to the copy a dirty owner holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 enum DirtyOwner {
     /// Downgrade it to shared.
     Downgrade,
