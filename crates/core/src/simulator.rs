@@ -945,7 +945,6 @@ impl<'a> RunState<'a> {
             if let Some(mp) = node.page_table.lookup(page.idx) {
                 node.page_table.set_home(page.idx, to);
                 if here == to {
-                    // The new home drops its S-COMA copy of the page.
                     if mp.mode == PageMode::SComa {
                         if let Some(pc) = node.page_cache.as_mut() {
                             pc.deallocate(page.idx);
