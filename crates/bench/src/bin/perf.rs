@@ -16,8 +16,8 @@
 
 use std::path::PathBuf;
 
-use dsm_bench::perf;
 use dsm_bench::presets::ExperimentScale;
+use dsm_bench::{json, perf};
 use dsm_core::MachineConfig;
 
 const USAGE: &str = "\
@@ -119,9 +119,11 @@ fn main() {
     }
 
     if let Some(path) = &baseline {
-        let baseline_json = std::fs::read_to_string(path)
+        let baseline = std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| json::parse(&text))
             .unwrap_or_else(|e| fail(&format!("reading baseline {}: {e}", path.display())));
-        let failures = perf::regression_failures(&report, &baseline_json, tolerance_pct / 100.0);
+        let failures = perf::regression_failures(&report, &baseline, tolerance_pct / 100.0);
         if !failures.is_empty() {
             for f in &failures {
                 eprintln!("perf baseline check failed: {f}");
@@ -130,7 +132,7 @@ fn main() {
         }
         eprintln!(
             "perf baseline check passed ({} jobs within {tolerance_pct}% of {})",
-            perf::compared_jobs(&report, &baseline_json).len(),
+            perf::compared_jobs(&report, &baseline).len(),
             path.display()
         );
     }

@@ -1,14 +1,15 @@
-//! A minimal JSON reader for the service protocol.
+//! A minimal JSON reader and string escaper: the workspace's one parser.
 //!
 //! The offline build environment resolves `serde` to a no-op derive shim
-//! (see `crates/shims/README.md`), so the wire format is handled by hand:
-//! this module parses one request line into a [`Value`] tree, and responses
-//! are rendered with `format!` plus [`escape`] (or, for the per-job event
-//! lines, `write!` plus [`escape_into`] into one buffer).  The subset implemented is
-//! full JSON minus niceties nobody sends over this protocol: numbers are
-//! kept as `f64` (every size/count the protocol carries fits in the 53-bit
-//! mantissa), and `\uXXXX` escapes outside the basic multilingual plane
-//! must arrive as surrogate pairs.
+//! (see `crates/shims/README.md`), so JSON is handled by hand.  [`parse`]
+//! reads one document into a [`Value`] tree: a sweep-service request line,
+//! a perf baseline, or a `BENCH_*.json` record ([`crate::perf`]).  Output
+//! is rendered with `format!` plus [`escape`] (or `write!` plus
+//! [`escape_into`] into one buffer).  The subset implemented is full JSON
+//! minus niceties none of those inputs need: numbers are kept as `f64`
+//! (every size/count they carry fits in the 53-bit mantissa), and
+//! `\uXXXX` escapes outside the basic multilingual plane must arrive as
+//! surrogate pairs.
 
 use std::fmt::Write as _;
 
@@ -76,6 +77,14 @@ impl Value {
     pub fn as_arr(&self) -> Option<&[Value]> {
         match self {
             Value::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// The members inside, in source order, if this is an object.
+    pub fn as_obj(&self) -> Option<&[(String, Value)]> {
+        match self {
+            Value::Obj(members) => Some(members),
             _ => None,
         }
     }
@@ -160,10 +169,10 @@ pub fn escape_into(out: &mut String, s: &str) {
     }
 }
 
-/// Parse one JSON document.  Trailing non-whitespace is an error (the
-/// protocol is one document per line).
+/// Parse one JSON document.  Trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -180,6 +189,7 @@ pub fn parse(input: &str) -> Result<Value, String> {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -241,8 +251,7 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "bad number".to_string())?;
+        let text = self.input.get(start..self.pos).ok_or("bad number")?;
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| format!("bad number `{text}` at byte {start}"))
@@ -280,10 +289,10 @@ impl Parser<'_> {
                                     self.pos += 1;
                                     self.expect(b'u')?;
                                     let low = self.hex4()?;
-                                    let combined = 0x10000
-                                        + ((unit - 0xd800) << 10)
-                                        + low.checked_sub(0xdc00).ok_or("bad surrogate pair")?;
-                                    char::from_u32(combined)
+                                    if !(0xdc00..0xe000).contains(&low) {
+                                        return Err("bad surrogate pair".to_string());
+                                    }
+                                    char::from_u32(0x10000 + ((unit - 0xd800) << 10) + low - 0xdc00)
                                 } else {
                                     None
                                 }
@@ -295,17 +304,24 @@ impl Parser<'_> {
                         other => return Err(format!("bad escape `\\{}`", other as char)),
                     }
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(format!(
+                        "raw control character in string at byte {}",
+                        self.pos
+                    ));
+                }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    if (c as u32) < 0x20 {
-                        return Err("raw control character in string".to_string());
+                    // Copy the run up to the next quote, backslash or
+                    // control byte.  Those are ASCII, so the run ends on a
+                    // char boundary of the input.
+                    let start = self.pos;
+                    while self
+                        .peek()
+                        .is_some_and(|b| b >= 0x20 && b != b'"' && b != b'\\')
+                    {
+                        self.pos += 1;
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(self.input.get(start..self.pos).ok_or("invalid utf-8")?);
                 }
             }
         }
@@ -314,9 +330,12 @@ impl Parser<'_> {
     fn hex4(&mut self) -> Result<u32, String> {
         let end = self.pos.checked_add(4).filter(|&e| e <= self.bytes.len());
         let end = end.ok_or("truncated \\u escape")?;
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| "bad \\u escape".to_string())?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| format!("bad \\u escape `{hex}`"))?;
+        let v = self
+            .input
+            .get(self.pos..end)
+            .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+            .and_then(|h| u32::from_str_radix(h, 16).ok())
+            .ok_or("bad \\u escape")?;
         self.pos = end;
         Ok(v)
     }
@@ -430,9 +449,25 @@ mod tests {
             "nul",
             "{\"a\" 1}",
             "\"\\ud800x\"",
+            "\"\\ud800\\uffff\"",
+            "\"\\u+041\"",
+            "\"raw\ttab\"",
         ] {
             assert!(parse(bad).is_err(), "`{bad}` should fail");
         }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // One long string must not stall a request thread: reading it one
+        // char at a time, re-validating the rest of the input for each,
+        // was quadratic.
+        let body = "é".repeat(1 << 19);
+        let doc = format!("{{\"id\":\"{body}\"}}");
+        let start = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        assert_eq!(v.get_str("id").map(str::len), Some(1 << 20));
+        assert!(start.elapsed().as_secs_f64() < 2.0, "{:?}", start.elapsed());
     }
 
     #[test]

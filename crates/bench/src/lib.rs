@@ -30,6 +30,7 @@
 pub mod cache_key;
 pub mod cli;
 pub mod experiment;
+pub mod json;
 pub mod perf;
 pub mod presets;
 pub mod report;

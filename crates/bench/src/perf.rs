@@ -22,6 +22,7 @@ use std::io;
 use std::path::Path;
 use std::time::Instant;
 
+use crate::json::{self, Value};
 use crate::presets::ExperimentScale;
 use dsm_core::{ClusterSimulator, MachineConfig, SystemConfig};
 use splash_workloads::{by_name, WorkloadConfig};
@@ -164,47 +165,29 @@ pub fn write_json(path: &Path, report: &PerfReport) -> io::Result<()> {
     std::fs::write(path, to_json(report) + "\n")
 }
 
-/// Pull `(workload, system, events_per_sec)` triples out of a perf-report
-/// JSON (the format written by [`to_json`]).
-///
-/// The offline environment has no JSON parser (serde is a no-op shim), so
-/// this is a purpose-built scanner for the one format this module writes:
-/// it walks `"workload"` keys and reads the two sibling fields this check
-/// needs.  Unknown fields are skipped; malformed entries are dropped.
-pub fn parse_jobs(json: &str) -> Vec<(String, String, f64)> {
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(start) = rest.find("\"workload\":\"") {
-        rest = &rest[start + "\"workload\":\"".len()..];
-        let Some(wend) = rest.find('"') else { break };
-        let workload = rest[..wend].to_string();
-        rest = &rest[wend..];
-        let Some(sys_at) = rest.find("\"system\":\"") else {
-            break;
-        };
-        rest = &rest[sys_at + "\"system\":\"".len()..];
-        let Some(send) = rest.find('"') else { break };
-        let system = rest[..send].to_string();
-        rest = &rest[send..];
-        let Some(eps_at) = rest.find("\"events_per_sec\":") else {
-            break;
-        };
-        rest = &rest[eps_at + "\"events_per_sec\":".len()..];
-        let num_end = rest
-            .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-            .unwrap_or(rest.len());
-        if let Ok(eps) = rest[..num_end].parse::<f64>() {
-            out.push((workload, system, eps));
-        }
-        rest = &rest[num_end..];
-    }
-    out
+/// `(workload, system, events_per_sec)` of every job in a perf report (the
+/// format written by [`to_json`]).  A job missing one of the three is
+/// dropped.
+pub fn parse_jobs(report: &Value) -> Vec<(String, String, f64)> {
+    let jobs = report
+        .get("jobs")
+        .and_then(Value::as_arr)
+        .unwrap_or_default();
+    jobs.iter()
+        .filter_map(|job| {
+            Some((
+                job.get_str("workload")?.to_string(),
+                job.get_str("system")?.to_string(),
+                job.get("events_per_sec")?.as_f64()?,
+            ))
+        })
+        .collect()
 }
 
 /// The baseline jobs `current` also measured, each paired with its
 /// baseline events/sec: the jobs a [`regression_failures`] check compares.
-pub fn compared_jobs<'a>(current: &'a PerfReport, baseline_json: &str) -> Vec<(&'a PerfJob, f64)> {
-    parse_jobs(baseline_json)
+pub fn compared_jobs<'a>(current: &'a PerfReport, baseline: &Value) -> Vec<(&'a PerfJob, f64)> {
+    parse_jobs(baseline)
         .into_iter()
         .filter_map(|(workload, system, base_eps)| {
             current.job(&workload, &system).map(|job| (job, base_eps))
@@ -212,18 +195,14 @@ pub fn compared_jobs<'a>(current: &'a PerfReport, baseline_json: &str) -> Vec<(&
         .collect()
 }
 
-/// Compare a fresh report against a committed baseline JSON: every baseline
+/// Compare a fresh report against a parsed baseline report: every baseline
 /// job also present in `current` must reach at least `(1 - tolerance)` of
 /// its baseline events/sec.  Returns one message per regressed job (empty =
 /// pass).  Baseline jobs the current report did not run are skipped, so a
 /// CI smoke run may cover a subset of the committed matrix — but a run that
 /// matches *no* baseline job compared nothing and fails.
-pub fn regression_failures(
-    current: &PerfReport,
-    baseline_json: &str,
-    tolerance: f64,
-) -> Vec<String> {
-    let compared = compared_jobs(current, baseline_json);
+pub fn regression_failures(current: &PerfReport, baseline: &Value, tolerance: f64) -> Vec<String> {
+    let compared = compared_jobs(current, baseline);
     if compared.is_empty() {
         return vec![format!(
             "no baseline job matched any of the {} measured (workload, system) jobs",
@@ -288,34 +267,19 @@ pub struct Trend {
     pub unreadable: Vec<(String, String)>,
 }
 
-/// Scan one `BENCH_*.json` body for its trend entry.  Handles both the
-/// plain [`to_json`] report shape and the pre/post trajectory wrapper of
-/// `BENCH_3.json` (where the last `mean_events_per_sec` is the post-change
-/// state).
-pub fn parse_trend_entry(file: &str, json: &str) -> Option<TrendEntry> {
-    let mean = json
-        .rmatch_indices("\"mean_events_per_sec\":")
-        .next()
-        .and_then(|(at, key)| scan_number(&json[at + key.len()..]))?;
-    let scale = json
-        .rmatch_indices("\"scale\":")
-        .next()
-        .and_then(|(at, key)| {
-            // Tolerate pretty-printed JSON: whitespace before the value.
-            let rest = json[at + key.len()..].trim_start();
-            let rest = rest.strip_prefix('"')?;
-            rest.find('"').map(|end| rest[..end].to_string())
-        })
-        .unwrap_or_else(|| "unknown".to_string());
-    let pr = json
-        .find("\"pr\":")
-        .and_then(|at| scan_number(&json[at + "\"pr\":".len()..]))
-        .map(|n| n as u64)
-        .or_else(|| pr_from_name(file));
+/// The trend entry of one parsed `BENCH_*.json` perf record.  Handles both
+/// the plain [`to_json`] report shape and the pre/post trajectory wrapper of
+/// `BENCH_3.json` (where the last `mean_events_per_sec` in document order is
+/// the post-change state).
+pub fn parse_trend_entry(file: &str, doc: &Value) -> Option<TrendEntry> {
+    let mean = last_named(doc, "mean_events_per_sec")?.as_f64()?;
+    let scale = last_named(doc, "scale")
+        .and_then(Value::as_str)
+        .unwrap_or("unknown");
     Some(TrendEntry {
         file: file.to_string(),
-        pr,
-        scale,
+        pr: doc.get_u64("pr").or_else(|| pr_from_name(file)),
+        scale: scale.to_string(),
         workload: None,
         events_per_sec: mean,
         quartiles: None,
@@ -323,50 +287,44 @@ pub fn parse_trend_entry(file: &str, json: &str) -> Option<TrendEntry> {
     })
 }
 
-/// Read a `"bench": "dsm-benchmark-pairs"` body (the repository benchmark's
-/// alternating parent/change runs): one row per key of its `workloads`
-/// object, giving the change side's `events_per_sec` median and quartiles
-/// (and the parent side's median, when the file has it).
+/// Read a `"bench": "dsm-benchmark-pairs"` document (the repository
+/// benchmark's alternating parent/change runs): one row per key of its
+/// `workloads` object, giving the change side's `events_per_sec` median and
+/// quartiles (and the parent side's median, when the file has it).
 /// `Err` names what is missing; a file with any unreadable workload gives
 /// no rows.
-fn parse_paired_entries(file: &str, json: &str) -> Result<Vec<TrendEntry>, String> {
-    let top = object_members(json).ok_or("not a JSON object")?;
-    if member(&top, "bench") != Some("\"dsm-benchmark-pairs\"") {
+fn parse_paired_entries(file: &str, doc: &Value) -> Result<Vec<TrendEntry>, String> {
+    if doc.get_str("bench") != Some("dsm-benchmark-pairs") {
         return Err("no `mean_events_per_sec` and not a `dsm-benchmark-pairs` file".to_string());
     }
-    let pr = member(&top, "pr")
-        .and_then(scan_number)
-        .map(|n| n as u64)
-        .or_else(|| pr_from_name(file));
-    let workloads = member(&top, "workloads")
-        .and_then(object_members)
+    let pr = doc.get_u64("pr").or_else(|| pr_from_name(file));
+    let workloads = doc
+        .get("workloads")
+        .and_then(Value::as_obj)
         .ok_or("no `workloads` object")?;
     workloads
-        .into_iter()
+        .iter()
         .map(|(workload, body)| {
-            let side = |name: &str| {
-                ["metrics", "events_per_sec", name]
-                    .iter()
-                    .try_fold(body, |text, key| member(&object_members(text)?, key))
-                    .and_then(object_members)
-            };
+            let side = |name: &str| body.get("metrics")?.get("events_per_sec")?.get(name);
             let change = side("change").ok_or_else(|| {
                 format!("workload `{workload}` has no change-side events_per_sec")
             })?;
             let stat = |key: &str| {
-                member(&change, key)
-                    .and_then(scan_number)
+                change
+                    .get(key)
+                    .and_then(Value::as_f64)
                     .ok_or_else(|| format!("workload `{workload}` has no events_per_sec {key}"))
             };
             Ok(TrendEntry {
                 file: file.to_string(),
                 pr,
                 scale: "-".to_string(),
-                workload: Some(workload.to_string()),
+                workload: Some(workload.clone()),
                 events_per_sec: stat("median")?,
                 quartiles: Some((stat("q1")?, stat("q3")?)),
                 parent_events_per_sec: side("parent")
-                    .and_then(|parent| member(&parent, "median").and_then(scan_number)),
+                    .and_then(|parent| parent.get("median"))
+                    .and_then(Value::as_f64),
             })
         })
         .collect()
@@ -374,10 +332,11 @@ fn parse_paired_entries(file: &str, json: &str) -> Result<Vec<TrendEntry>, Strin
 
 /// The rows one `BENCH_*.json` body contributes: a `perf` report's mean,
 /// else a benchmark-pairs file's workloads.
-fn trend_rows(file: &str, json: &str) -> Result<Vec<TrendEntry>, String> {
-    match parse_trend_entry(file, json) {
+fn trend_rows(file: &str, text: &str) -> Result<Vec<TrendEntry>, String> {
+    let doc = json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
+    match parse_trend_entry(file, &doc) {
         Some(entry) => Ok(vec![entry]),
-        None => parse_paired_entries(file, json),
+        None => parse_paired_entries(file, &doc),
     }
 }
 
@@ -388,80 +347,16 @@ fn pr_from_name(file: &str) -> Option<u64> {
         .ok()
 }
 
-fn scan_number(rest: &str) -> Option<f64> {
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !matches!(c, '0'..='9' | '.' | '-' | '+' | 'e' | 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// The value text of member `key` in `members` (see [`object_members`]).
-fn member<'a>(members: &[(&str, &'a str)], key: &str) -> Option<&'a str> {
-    members.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
-}
-
-/// The members of the JSON object that `text` starts with, as `(key, value
-/// text)` pairs in file order.  Like [`parse_jobs`], a scanner for the one
-/// format it reads rather than a parser: it matches brackets and skips
-/// string literals, and leaves keys raw and values undecoded.  `None` when
-/// `text` does not start with a well-bracketed object.
-fn object_members(text: &str) -> Option<Vec<(&str, &str)>> {
-    let body = text.trim_start().strip_prefix('{')?;
-    let bytes = body.as_bytes();
-    let skip_ws = |mut at: usize| {
-        while bytes.get(at).is_some_and(u8::is_ascii_whitespace) {
-            at += 1;
-        }
-        at
-    };
-    let mut members = Vec::new();
-    let mut at = skip_ws(0);
-    loop {
-        match bytes.get(at)? {
-            b'}' => return Some(members),
-            b'"' => {}
-            _ => return None,
-        }
-        let key_end = string_end(bytes, at)?;
-        let key = body.get(at + 1..key_end - 1)?;
-        at = skip_ws(key_end);
-        if bytes.get(at)? != &b':' {
-            return None;
-        }
-        let start = skip_ws(at + 1);
-        at = start;
-        let mut depth = 0usize;
-        loop {
-            match bytes.get(at)? {
-                b'"' => {
-                    at = string_end(bytes, at)?;
-                    continue;
-                }
-                b'{' | b'[' => depth += 1,
-                b'}' | b']' | b',' if depth == 0 => break,
-                b'}' | b']' => depth -= 1,
-                _ => {}
-            }
-            at += 1;
-        }
-        members.push((key, body.get(start..at)?.trim_end()));
-        if bytes.get(at)? == &b',' {
-            at = skip_ws(at + 1);
-        }
-    }
-}
-
-/// The index just past the string literal whose opening quote is
-/// `bytes[at]`.
-fn string_end(bytes: &[u8], at: usize) -> Option<usize> {
-    let mut i = at + 1;
-    loop {
-        match bytes.get(i)? {
-            b'\\' => i += 2,
-            b'"' => return Some(i + 1),
-            _ => i += 1,
-        }
+/// The value of the last member named `key` anywhere in `v`, in document
+/// order.
+fn last_named<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
+    match v {
+        Value::Obj(members) => members
+            .iter()
+            .rev()
+            .find_map(|(k, child)| last_named(child, key).or_else(|| (k == key).then_some(child))),
+        Value::Arr(items) => items.iter().rev().find_map(|item| last_named(item, key)),
+        _ => None,
     }
 }
 
@@ -576,8 +471,7 @@ mod tests {
         let report = toy_report();
         let json = to_json(&report);
         assert!(json.contains("\"bench\":\"perf\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        let jobs = parse_jobs(&json);
+        let jobs = parse_jobs(&json::parse(&json).unwrap());
         assert_eq!(jobs.len(), 2);
         assert_eq!(jobs[0].0, "radix");
         assert_eq!(jobs[0].1, "CC-NUMA");
@@ -587,7 +481,7 @@ mod tests {
 
     #[test]
     fn regression_check_flags_only_real_regressions() {
-        let baseline = to_json(&toy_report());
+        let baseline = json::parse(&to_json(&toy_report())).unwrap();
         let mut current = toy_report();
         // Same numbers: no failures.
         assert!(regression_failures(&current, &baseline, 0.3).is_empty());
@@ -603,7 +497,7 @@ mod tests {
 
     #[test]
     fn baseline_jobs_missing_from_current_are_skipped() {
-        let baseline = to_json(&toy_report());
+        let baseline = json::parse(&to_json(&toy_report())).unwrap();
         let mut current = toy_report();
         current.jobs.remove(1);
         assert!(regression_failures(&current, &baseline, 0.3).is_empty());
@@ -617,7 +511,7 @@ mod tests {
         for job in &mut current.jobs {
             job.workload = "ocean".into();
         }
-        let baseline = to_json(&toy_report());
+        let baseline = json::parse(&to_json(&toy_report())).unwrap();
         assert!(compared_jobs(&current, &baseline).is_empty());
         let failures = regression_failures(&current, &baseline, 0.3);
         assert_eq!(failures.len(), 1);
@@ -627,16 +521,21 @@ mod tests {
             failures[0]
         );
         // An empty baseline is disjoint from every run.
-        let empty = r#"{"bench":"perf","jobs":[]}"#;
-        assert_eq!(regression_failures(&toy_report(), empty, 0.3).len(), 1);
+        let empty = json::parse(r#"{"bench":"perf","jobs":[]}"#).unwrap();
+        assert_eq!(regression_failures(&toy_report(), &empty, 0.3).len(), 1);
         assert_eq!(compared_jobs(&toy_report(), &baseline).len(), 2);
     }
 
     #[test]
     fn malformed_baseline_yields_no_jobs_not_a_panic() {
-        assert!(parse_jobs("").is_empty());
-        assert!(parse_jobs("{\"workload\":\"x\"").is_empty());
-        assert!(parse_jobs("not json at all").is_empty());
+        for doc in [
+            r#"{"bench":"perf"}"#,
+            r#"{"jobs":{"workload":"x"}}"#,
+            r#"{"jobs":[{"workload":"x","system":"y"},{"workload":"x","system":"y","events_per_sec":"fast"}]}"#,
+            "[]",
+        ] {
+            assert!(parse_jobs(&json::parse(doc).unwrap()).is_empty(), "{doc}");
+        }
     }
 
     #[test]
@@ -660,7 +559,7 @@ mod tests {
     #[test]
     fn trend_entry_reads_plain_reports_and_trajectory_wrappers() {
         // Plain report: pr comes from the file name.
-        let plain = to_json(&toy_report());
+        let plain = json::parse(&to_json(&toy_report())).unwrap();
         let t = parse_trend_entry("BENCH_4.json", &plain).unwrap();
         assert_eq!(t.pr, Some(4));
         assert_eq!(t.scale, "reduced");
@@ -679,7 +578,7 @@ mod tests {
                 ..toy_report()
             })
         );
-        let t = parse_trend_entry("BENCH_3.json", &wrapper).unwrap();
+        let t = parse_trend_entry("BENCH_3.json", &json::parse(&wrapper).unwrap()).unwrap();
         assert_eq!(t.pr, Some(3));
         assert!((t.events_per_sec - 6_000_000.0).abs() < 1.0);
 
@@ -687,13 +586,19 @@ mod tests {
         // colons) parses too.
         let pretty = "{\n \"pr\": 6,\n \"scale\": \"paper\",\n \
                       \"mean_events_per_sec\": 1234.5\n}";
-        let t = parse_trend_entry("BENCH_6.json", pretty).unwrap();
+        let t = parse_trend_entry("BENCH_6.json", &json::parse(pretty).unwrap()).unwrap();
         assert_eq!(t.pr, Some(6));
         assert_eq!(t.scale, "paper");
         assert!((t.events_per_sec - 1234.5).abs() < 0.01);
 
-        // Garbage yields no entry.
-        assert!(parse_trend_entry("BENCH_9.json", "not json").is_none());
+        // A document without a mean yields no entry; text that is not
+        // JSON, or a report cut off mid-way, yields no rows at all.
+        let other = json::parse(r#"{"bench":"other","scale":"paper"}"#).unwrap();
+        assert!(parse_trend_entry("BENCH_9.json", &other).is_none());
+        assert!(trend_rows("BENCH_9.json", "not json").is_err());
+        let cut = to_json(&toy_report());
+        let err = trend_rows("BENCH_4.json", &cut[..cut.len() / 2]).unwrap_err();
+        assert!(err.starts_with("not valid JSON"), "{err}");
     }
 
     fn perf_row(file: &str, pr: u64, scale: &str, events_per_sec: f64) -> TrendEntry {
@@ -794,7 +699,7 @@ mod tests {
 
     #[test]
     fn paired_files_give_one_row_per_workload() {
-        let rows = parse_paired_entries("BENCH_16.json", PAIRED).unwrap();
+        let rows = parse_paired_entries("BENCH_16.json", &json::parse(PAIRED).unwrap()).unwrap();
         assert_eq!(rows.len(), 2);
         let paper = &rows[0];
         assert_eq!(
@@ -822,7 +727,8 @@ mod tests {
         // A workload without a change-side median makes the file
         // unreadable, naming the workload; so does a perf-less non-pair.
         let broken = PAIRED.replace("\"median\": 9.5e6, ", "");
-        let err = parse_paired_entries("BENCH_16.json", &broken).unwrap_err();
+        let err =
+            parse_paired_entries("BENCH_16.json", &json::parse(&broken).unwrap()).unwrap_err();
         assert!(err.contains("`serve`") && err.contains("median"), "{err}");
         assert!(trend_rows("BENCH_1.json", r#"{"bench":"other"}"#).is_err());
         assert!(trend_rows("BENCH_1.json", "{\"bench\": \"dsm-benchmark-pairs\"").is_err());

@@ -14,12 +14,16 @@
 //! configuration needs, and parsing it by hand keeps the crate
 //! dependency-free like the rest of the linter.
 
+/// The `lint.toml` schema this build reads; a file whose `schema` differs
+/// fails to load.
+pub const SCHEMA_VERSION: u64 = 2;
+
 /// Parsed configuration for the call-graph rules.  [`Config::default`]
 /// mirrors the committed `lint.toml` so fixture tests and bare-tree runs
 /// see the real policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Config {
-    /// Schema version of the file (must match [`crate::baseline`]'s).
+    /// Schema version of the file (must equal [`SCHEMA_VERSION`]).
     pub schema: u64,
     /// `panic-path` entry-point specs: `::`-separated suffixes of function
     /// qualified names; the last segment may end in `*` for a prefix match
@@ -39,7 +43,7 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            schema: crate::baseline::SCHEMA_VERSION,
+            schema: SCHEMA_VERSION,
             entries: [
                 "SweepService::handle_line",
                 "serve_stream",
@@ -112,11 +116,10 @@ impl Config {
                 }
             }
         }
-        if cfg.schema != crate::baseline::SCHEMA_VERSION {
+        if cfg.schema != SCHEMA_VERSION {
             return Err(format!(
-                "lint.toml schema {} does not match the supported schema {}",
-                cfg.schema,
-                crate::baseline::SCHEMA_VERSION
+                "lint.toml schema {} does not match the supported schema {SCHEMA_VERSION}",
+                cfg.schema
             ));
         }
         Ok(cfg)

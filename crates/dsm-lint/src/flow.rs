@@ -31,8 +31,7 @@
 //!
 //! Findings anchor at the *site* (panic site, taint source, cast) so a
 //! `// dsm-lint: allow(rule, reason)` lives next to the code it vouches
-//! for, and the baseline key stays line-content-stable like the token
-//! rules'.
+//! for.
 
 use crate::config::Config;
 use crate::graph::CallGraph;

@@ -6,19 +6,25 @@
 //! conservative, and `--emit-graph` publishes the bucket so a reviewer can
 //! see exactly what the analysis did not follow:
 //!
-//! 1. **Path calls** `Type::method(..)` / `module::f(..)` resolve by the
-//!    last two segments against `impl`/`trait` owners and module names;
-//!    `Self::method` uses the calling function's own owner.
+//! 1. **Path calls** resolve by their last two segments.  `Type::f(..)`
+//!    resolves against `impl`/`trait` owners (`Self::f` against the calling
+//!    function's own).  `m::f(..)` resolves to the free fn `f` of every
+//!    module named `m`, only the caller's crate's when it has one;
+//!    `crate::m::f(..)` resolves in the caller's crate alone.  No path
+//!    resolves from a workspace crate into the benchmark package, which
+//!    none of them depends on.
 //! 2. **Method calls** `recv.m(..)` with `recv == self` resolve exactly
 //!    against the owner's methods.  Other receivers fall back to *every*
 //!    workspace method named `m` with a matching arity — except the panic
 //!    methods (`unwrap`/`expect`), whose names are so common on `Option`/
 //!    `Result` that a name-match edge would be noise, not evidence.
-//! 3. **Bare calls** `f(..)` prefer a free function in the same module,
-//!    then any free function with matching name + arity.
+//! 3. **Bare calls** `f(..)` resolve to free functions only: one in the
+//!    same module, else any in the caller's crate with matching name +
+//!    arity.
 //!
 //! Calls to the standard library, enum constructors, closures and
-//! callbacks have no workspace target and populate the unresolved bucket.
+//! callbacks have no workspace target and populate the unresolved bucket,
+//! as do bare calls to functions a `use` brings in from another crate.
 
 use crate::items::FnItem;
 use std::collections::BTreeMap;
@@ -78,9 +84,10 @@ impl CallGraph {
         // Indexes.  Values are sorted fn indices (BTreeMap keeps the whole
         // build deterministic, matching the repo's own hash-iter policy).
         let mut by_owner: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
-        let mut free_by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         let mut methods_by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        let mut by_module_name: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
+        let mut free_by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+        let mut free_by_module: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
+        let mut free_by_module_tail: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
         for (i, f) in fns.iter().enumerate() {
             if let Some(o) = &f.owner {
                 by_owner
@@ -92,16 +99,29 @@ impl CallGraph {
                 }
             } else {
                 free_by_name.entry(f.name.clone()).or_default().push(i);
+                let module = module_of(f);
+                let tail = module.rsplit("::").next().unwrap_or("").to_string();
+                free_by_module
+                    .entry((module, f.name.clone()))
+                    .or_default()
+                    .push(i);
+                free_by_module_tail
+                    .entry((tail, f.name.clone()))
+                    .or_default()
+                    .push(i);
             }
-            by_module_name
-                .entry((module_of(f), f.name.clone()))
-                .or_default()
-                .push(i);
         }
+        let lookup = |index: &BTreeMap<(String, String), Vec<usize>>, key: &str, name: &str| {
+            index
+                .get(&(key.to_string(), name.to_string()))
+                .cloned()
+                .unwrap_or_default()
+        };
 
         let mut edges: Vec<Vec<Edge>> = vec![Vec::new(); fns.len()];
         let mut unresolved = Vec::new();
         for (i, f) in fns.iter().enumerate() {
+            let same_crate = |j: &usize| crate_of(&fns[*j]) == crate_of(f);
             for call in &f.calls {
                 let targets: Vec<usize> = match &call.target {
                     CallTarget::Path(segs) => {
@@ -112,15 +132,36 @@ impl CallGraph {
                         } else {
                             qual
                         };
-                        let mut t = by_owner
-                            .get(&(qual.to_string(), name.clone()))
-                            .cloned()
-                            .unwrap_or_default();
-                        if t.is_empty() {
-                            t = by_module_name
-                                .get(&(qual.to_string(), name.clone()))
-                                .cloned()
-                                .unwrap_or_default();
+                        let mut t = if segs[0] == "crate" {
+                            // `crate::m::f` names one module of the
+                            // caller's crate; `crate::m::Type::f` an owner
+                            // defined in it.
+                            let mut module = vec![crate_of(f)];
+                            module.extend(segs[1..segs.len() - 1].iter().map(String::as_str));
+                            let mut t = lookup(&free_by_module, &module.join("::"), name);
+                            if t.is_empty() {
+                                t = lookup(&by_owner, qual, name);
+                                t.retain(same_crate);
+                            }
+                            t
+                        } else {
+                            let mut t = lookup(&by_owner, qual, name);
+                            if t.is_empty() {
+                                // `m::f`: a free fn of any module named
+                                // `m`, the caller's own crate first.
+                                t = lookup(&free_by_module_tail, qual, name);
+                                if t.iter().any(same_crate) {
+                                    t.retain(same_crate);
+                                }
+                            }
+                            t
+                        };
+                        // A path names code the caller's package can see,
+                        // and no workspace crate depends on the benchmark
+                        // package.  (Method calls keep their edges into
+                        // it: its trait impls run inside the simulator.)
+                        if !in_benchmark(f) {
+                            t.retain(|&j| !in_benchmark(&fns[j]));
                         }
                         t
                     }
@@ -145,10 +186,10 @@ impl CallGraph {
                         }
                     }
                     CallTarget::Bare(name) => {
-                        let local = by_module_name
-                            .get(&(module_of(f), name.clone()))
-                            .cloned()
-                            .unwrap_or_default();
+                        // A bare name is a free fn: a method or associated
+                        // fn is only ever called through a receiver or a
+                        // `Type::`/`Self::` path.
+                        let local = lookup(&free_by_module, &module_of(f), name);
                         if !local.is_empty() {
                             local
                         } else {
@@ -164,10 +205,7 @@ impl CallGraph {
                                 .map(|c| {
                                     c.iter()
                                         .copied()
-                                        .filter(|&j| {
-                                            fns[j].arity == call.arity
-                                                && crate_of(&fns[j]) == crate_of(f)
-                                        })
+                                        .filter(|&j| fns[j].arity == call.arity && same_crate(&j))
                                         .collect()
                                 })
                                 .unwrap_or_default()
@@ -349,6 +387,12 @@ fn crate_of(f: &FnItem) -> &str {
     f.qname.split("::").next().unwrap_or("")
 }
 
+/// True for a function of the benchmark package (`benchmark/`), which
+/// builds against the workspace crates but is never named by them.
+fn in_benchmark(f: &FnItem) -> bool {
+    f.file.starts_with("benchmark/")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,6 +477,90 @@ pub fn misses(c: &Cache) { c.probe(7, 8); }
             g.unresolved.iter().any(|u| u.target == ".probe"),
             "the miss lands in the unresolved bucket: {:?}",
             g.unresolved
+        );
+    }
+
+    #[test]
+    fn crate_paths_resolve_against_the_callers_crate() {
+        let g = graph_of(&[
+            (
+                "crates/sweep-service/src/service.rs",
+                "pub fn handle(line: &str) { crate::json::parse(line); crate::cache::Cache::open(line); }",
+            ),
+            ("crates/sweep-service/src/json.rs", "pub fn parse(s: &str) {}"),
+            (
+                "crates/sweep-service/src/cache.rs",
+                "impl Cache { pub fn open(p: &str) {} }",
+            ),
+            ("crates/bench/src/json.rs", "pub fn parse(s: &str) {}"),
+            ("crates/bench/src/cache.rs", "impl Cache { pub fn open(p: &str) {} }"),
+        ]);
+        assert!(calls(&g, "service::handle", "sweep_service::json::parse"));
+        assert!(calls(
+            &g,
+            "service::handle",
+            "sweep_service::cache::Cache::open"
+        ));
+        let handle = idx(&g, "service::handle");
+        assert_eq!(g.edges[handle].len(), 2, "nothing in another crate");
+        assert!(g.unresolved.is_empty(), "{:?}", g.unresolved);
+    }
+
+    #[test]
+    fn module_paths_resolve_by_module_name_preferring_the_callers_crate() {
+        let g = graph_of(&[
+            (
+                "crates/sweep-service/src/service.rs",
+                "pub fn handle(line: &str) { json::parse(line); cache::escape(line); }",
+            ),
+            (
+                "crates/sweep-service/src/cache.rs",
+                "pub fn escape(s: &str) {}",
+            ),
+            ("crates/smp-node/src/cache.rs", "pub fn escape(s: &str) {}"),
+            ("crates/bench/src/json.rs", "pub fn parse(s: &str) {}"),
+            ("benchmark/src/json.rs", "pub fn parse(s: &str) {}"),
+            (
+                "benchmark/src/serve.rs",
+                "pub fn drive(line: &str) { json::parse(line); }",
+            ),
+        ]);
+        let handle = idx(&g, "service::handle");
+        let mut callees: Vec<&str> = g.edges[handle]
+            .iter()
+            .map(|e| g.fns[e.to].qname.as_str())
+            .collect();
+        callees.sort_unstable();
+        assert_eq!(
+            callees,
+            ["bench::json::parse", "sweep_service::cache::escape"],
+            "another crate's module when the caller's crate has none, never \
+             the benchmark's"
+        );
+        assert!(calls(&g, "serve::drive", "benchmark::json::parse"));
+        assert!(!calls(&g, "serve::drive", "bench::json::parse"));
+    }
+
+    #[test]
+    fn bare_calls_never_resolve_to_methods() {
+        let g = graph_of(&[
+            (
+                "crates/sweep-service/src/proto.rs",
+                "
+impl Request {
+    pub fn parse(line: &str) -> Request { parse(line) }
+}
+",
+            ),
+            (
+                "crates/sweep-service/src/json.rs",
+                "pub fn parse(s: &str) {}",
+            ),
+        ]);
+        assert!(calls(&g, "Request::parse", "sweep_service::json::parse"));
+        assert!(
+            !calls(&g, "Request::parse", "Request::parse"),
+            "a bare call is not a call to the method of the same name"
         );
     }
 

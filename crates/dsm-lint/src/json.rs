@@ -1,74 +1,8 @@
-//! A minimal JSON reader/writer for the baseline file and `--json` output.
+//! JSON string escaping for the `--format json` report and `--emit-graph`.
 //!
-//! This mirrors `sweep-service`'s hand-rolled protocol module rather than
-//! depending on it: the lint gate must build before — and independently of —
-//! the simulator stack it checks, so the crate stays dependency-free.  The
-//! subset is full JSON minus what a baseline never contains: numbers are
-//! `f64` (counts and line numbers fit the 53-bit mantissa) and `\uXXXX`
-//! escapes outside the BMP must arrive as surrogate pairs.
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Value>),
-    /// An object, in source order (duplicate keys keep the first).
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    /// Member `key` of an object (`None` for non-objects).
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string inside, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The number inside as a `u64`, if it is one (integral, in range).
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) if *n >= 0.0 && *n <= (1u64 << 53) as f64 && n.fract() == 0.0 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The elements inside, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Member `key` as a string.
-    pub fn get_str(&self, key: &str) -> Option<&str> {
-        self.get(key)?.as_str()
-    }
-
-    /// Member `key` as a `u64`.
-    pub fn get_u64(&self, key: &str) -> Option<u64> {
-        self.get(key)?.as_u64()
-    }
-}
+//! The linter writes JSON but never reads it, so this is all it needs: the
+//! crate stays dependency-free, and the gate builds before — and
+//! independently of — the simulator stack it checks.
 
 /// Escape a string for embedding in a JSON string literal.
 pub fn escape(s: &str) -> String {
@@ -87,267 +21,15 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Parse one JSON document.  Trailing non-whitespace is an error.
-pub fn parse(input: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing input at byte {}", p.pos));
-    }
-    Ok(value)
-}
-
-const MAX_DEPTH: usize = 64;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    depth: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        if self.depth >= MAX_DEPTH {
-            return Err("nesting too deep".to_string());
-        }
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.pos)),
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "bad number".to_string())?;
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| format!("bad number `{text}` at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let unit = self.hex4()?;
-                            let c = if (0xd800..0xdc00).contains(&unit) {
-                                // High surrogate: a \uXXXX low surrogate
-                                // must follow.
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    self.eat(b'u')?;
-                                    let low = self.hex4()?;
-                                    let combined = 0x10000
-                                        + ((unit - 0xd800) << 10)
-                                        + low.checked_sub(0xdc00).ok_or("bad surrogate pair")?;
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(unit)
-                            };
-                            out.push(c.ok_or("bad unicode escape")?);
-                        }
-                        other => return Err(format!("bad escape `\\{}`", other as char)),
-                    }
-                }
-                Some(_) => {
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    if (c as u32) < 0x20 {
-                        return Err("raw control character in string".to_string());
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, String> {
-        let end = self.pos.checked_add(4).filter(|&e| e <= self.bytes.len());
-        let end = end.ok_or("truncated \\u escape")?;
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| "bad \\u escape".to_string())?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| format!("bad \\u escape `{hex}`"))?;
-        self.pos = end;
-        Ok(v)
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.eat(b'{')?;
-        self.depth += 1;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Value::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            if !members.iter().any(|(k, _)| *k == key) {
-                members.push((key, value));
-            }
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Value::Obj(members));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.eat(b'[')?;
-        self.depth += 1;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::escape;
 
     #[test]
-    fn parses_the_baseline_shape() {
-        let v = parse(
-            r#"{"version":1,"entries":[{"rule":"lock-unwrap","file":"a.rs","count":2,"reason":"why"}]}"#,
-        )
-        .unwrap();
-        assert_eq!(v.get_u64("version"), Some(1));
-        let entries = v.get("entries").unwrap().as_arr().unwrap();
-        assert_eq!(entries[0].get_str("rule"), Some("lock-unwrap"));
-        assert_eq!(entries[0].get_u64("count"), Some(2));
-    }
-
-    #[test]
-    fn string_escapes_round_trip() {
-        let original = "let g = x.lock().expect(\"poisoned\\n\");\t√";
-        let doc = format!("{{\"s\":\"{}\"}}", escape(original));
-        assert_eq!(parse(&doc).unwrap().get_str("s"), Some(original));
-        let v = parse(r#""\ud83d\ude00""#).unwrap();
-        assert_eq!(v.as_str(), Some("\u{1f600}"));
-    }
-
-    #[test]
-    fn malformed_input_is_an_error_not_a_panic() {
-        for bad in [
-            "",
-            "{",
-            "[1,",
-            "{\"a\":}",
-            "tru",
-            "\"unterminated",
-            "{\"a\":1}trailing",
-            "\"\\u12\"",
-            "\"\\q\"",
-            "{\"a\" 1}",
-            "\"\\ud800x\"",
-        ] {
-            assert!(parse(bad).is_err(), "`{bad}` should fail");
-        }
-        let deep = "[".repeat(100) + &"]".repeat(100);
-        assert!(parse(&deep).is_err(), "depth is bounded");
+    fn escapes_quotes_backslashes_and_control_characters() {
+        assert_eq!(
+            escape("x.expect(\"poisoned\\n\");\t√\u{1}"),
+            "x.expect(\\\"poisoned\\\\n\\\");\\t√\\u0001"
+        );
     }
 }

@@ -7,15 +7,16 @@
 //! no scheduling-dependent float accumulation — were historically enforced
 //! only by after-the-fact parity tests.  This crate checks them at the
 //! source level on every commit: a small hand-rolled Rust lexer
-//! ([`lexer`]), a rule pass over the token stream ([`rules`]), and a
-//! committed findings baseline ([`baseline`]) so CI fails on *new*
-//! violations while grandfathering documented old ones.
+//! ([`lexer`]), a rule pass over the token stream ([`rules`]), and
+//! call-graph rules over the whole workspace ([`graph`], [`flow`]).  Any
+//! finding fails the gate; the only way to accept one is an inline
+//! `// dsm-lint: allow(rule, reason)` at the site.
 //!
-//! The crate is deliberately dependency-free (its own JSON in [`json`], its
-//! own walker in [`workspace`]): the gate must build in seconds, before the
-//! simulator stack, and must never be taken down by the code it checks.
+//! The crate is deliberately dependency-free (its own JSON escaping in
+//! [`json`], its own walker in [`workspace`]): the gate must build in
+//! seconds, before the simulator stack, and must never be taken down by the
+//! code it checks.
 
-pub mod baseline;
 pub mod config;
 pub mod flow;
 pub mod graph;
@@ -25,7 +26,6 @@ pub mod lexer;
 pub mod rules;
 pub mod workspace;
 
-pub use baseline::{render_findings, Baseline};
 pub use config::Config;
 pub use graph::CallGraph;
 pub use rules::{allowlist, is_rule, scan_source, Finding, RuleInfo, RULES};

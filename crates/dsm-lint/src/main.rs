@@ -1,22 +1,21 @@
-//! `dsm-lint` CLI: scan the workspace, diff against the committed baseline.
+//! `dsm-lint` CLI: scan the workspace and report every finding.
 //!
 //! ```text
-//! dsm-lint [--root DIR] [--baseline FILE] [--format human|json|github]
-//!          [--emit-graph FILE] [--fix-baseline] [--self-check] [--list-rules]
+//! dsm-lint [--root DIR] [--format human|json|github] [--emit-graph FILE]
+//!          [--list-rules]
 //! ```
 //!
-//! Exit status: `0` when no finding escapes the baseline, `1` when new
-//! violations exist, `2` on usage or IO errors.  `--format json` writes the
-//! full machine-readable report to stdout (human prose goes to stderr),
-//! which is what CI uploads as an artifact; `--format github` writes
-//! GitHub Actions `::error` workflow commands so findings annotate the PR
-//! diff in place.
+//! Exit status: `0` when the scan finds nothing, `1` when it finds
+//! violations, `2` on usage, configuration or IO errors.  `--format json`
+//! writes the full machine-readable report to stdout (human prose goes to
+//! stderr); `--format github` writes GitHub Actions `::error` workflow
+//! commands so findings annotate the PR diff in place.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use dsm_lint::baseline::{render_findings, Baseline, SCHEMA_VERSION};
-use dsm_lint::{scan_workspace, Config, Finding, RULES};
+use dsm_lint::json::escape;
+use dsm_lint::{scan_workspace, Finding, RULES};
 
 const USAGE: &str = "\
 dsm-lint: repo-specific determinism/concurrency lint
@@ -26,24 +25,19 @@ USAGE:
 
 OPTIONS:
     --root DIR         workspace root to scan (default: .)
-    --baseline FILE    baseline path (default: <root>/lint-baseline.json)
     --format FORMAT    report format: human (default), json (full report on
                        stdout, prose on stderr), github (::error workflow
                        commands for PR annotations)
     --json             shorthand for --format json
     --emit-graph FILE  also write the workspace call graph (nodes, resolved
                        edges, unresolved bucket) as JSON to FILE
-    --fix-baseline     re-record the baseline from the current tree; new
-                       entries get an UNREVIEWED reason to replace by hand
-    --self-check       verify the committed baseline parses, matches the
-                       built-in rule registry, and agrees with lint.toml's
-                       schema version; exits nonzero on drift
     --list-rules       print the rule set and exit
     --help             this text
 
-Suppress one finding with `// dsm-lint: allow(rule, reason)` on the same
-line or the line above; the reason is mandatory.  Entry points and sinks
-for the call-graph rules are configured in <root>/lint.toml.";
+Any finding fails the scan.  Accept one only with
+`// dsm-lint: allow(rule, reason)` on the same line or the line above; the
+reason is mandatory.  Entry points and sinks for the call-graph rules are
+configured in <root>/lint.toml.";
 
 #[derive(Clone, Copy, PartialEq)]
 enum Format {
@@ -54,31 +48,24 @@ enum Format {
 
 struct Opts {
     root: PathBuf,
-    baseline: PathBuf,
     format: Format,
     emit_graph: Option<PathBuf>,
-    fix: bool,
-    self_check: bool,
     list: bool,
 }
 
 fn parse_args() -> Result<Opts, String> {
-    let mut root = PathBuf::from(".");
-    let mut baseline = None;
-    let mut format = Format::Human;
-    let mut emit_graph = None;
-    let (mut fix, mut self_check, mut list) = (false, false, false);
+    let mut opts = Opts {
+        root: PathBuf::from("."),
+        format: Format::Human,
+        emit_graph: None,
+        list: false,
+    };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--root" => root = PathBuf::from(args.next().ok_or("--root needs a value")?),
-            "--baseline" => {
-                baseline = Some(PathBuf::from(
-                    args.next().ok_or("--baseline needs a value")?,
-                ));
-            }
+            "--root" => opts.root = PathBuf::from(args.next().ok_or("--root needs a value")?),
             "--format" => {
-                format = match args.next().as_deref() {
+                opts.format = match args.next().as_deref() {
                     Some("human") => Format::Human,
                     Some("json") => Format::Json,
                     Some("github") => Format::Github,
@@ -87,15 +74,13 @@ fn parse_args() -> Result<Opts, String> {
                     }
                 };
             }
-            "--json" => format = Format::Json,
+            "--json" => opts.format = Format::Json,
             "--emit-graph" => {
-                emit_graph = Some(PathBuf::from(
+                opts.emit_graph = Some(PathBuf::from(
                     args.next().ok_or("--emit-graph needs a value")?,
                 ));
             }
-            "--fix-baseline" => fix = true,
-            "--self-check" => self_check = true,
-            "--list-rules" => list = true,
+            "--list-rules" => opts.list = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -103,16 +88,7 @@ fn parse_args() -> Result<Opts, String> {
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    let baseline = baseline.unwrap_or_else(|| root.join("lint-baseline.json"));
-    Ok(Opts {
-        root,
-        baseline,
-        format,
-        emit_graph,
-        fix,
-        self_check,
-        list,
-    })
+    Ok(opts)
 }
 
 /// One finding as a GitHub Actions annotation.  Newlines in workflow
@@ -128,35 +104,32 @@ fn github_annotation(f: &Finding) -> String {
     format!("::error file={},line={}::{msg}", f.file, f.line)
 }
 
-/// `--self-check`: the committed baseline must parse under the current
-/// schema, name exactly the built-in rule registry, and `lint.toml` (when
-/// present) must carry the same schema version.  Run by CI so a rule-set
-/// change cannot land without re-recording the baseline.
-fn self_check(opts: &Opts) -> Result<bool, String> {
-    let text = std::fs::read_to_string(&opts.baseline)
-        .map_err(|e| format!("reading {}: {e}", opts.baseline.display()))?;
-    let baseline = Baseline::parse(&text)?;
-    if !baseline.rules_match_registry() {
-        eprintln!(
-            "dsm-lint: self-check FAILED: baseline rules {:?} do not match the registry {:?} — run --fix-baseline",
-            baseline.rules,
-            RULES.iter().map(|r| r.name).collect::<Vec<_>>()
-        );
-        return Ok(false);
-    }
-    // Config::load re-validates lint.toml's schema against SCHEMA_VERSION.
-    Config::load(&opts.root.join("lint.toml"))?;
-    eprintln!(
-        "dsm-lint: self-check ok: schema v{SCHEMA_VERSION}, {} rules, {} baseline entr{}",
-        RULES.len(),
-        baseline.entries.len(),
-        if baseline.entries.len() == 1 {
-            "y"
-        } else {
-            "ies"
-        },
-    );
-    Ok(true)
+/// The `--format json` report.  Call-graph findings carry their evidence
+/// chain.
+fn render_findings(findings: &[Finding]) -> String {
+    let all: Vec<String> = findings
+        .iter()
+        .map(|f| {
+            let chain: Vec<String> = f
+                .chain
+                .iter()
+                .map(|s| format!("\"{}\"", escape(s)))
+                .collect();
+            format!(
+                "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"excerpt\":\"{}\",\"chain\":[{}]}}",
+                escape(f.rule),
+                escape(&f.file),
+                f.line,
+                escape(&f.excerpt),
+                chain.join(",")
+            )
+        })
+        .collect();
+    format!(
+        "{{\"total\":{},\"findings\":[{}]}}\n",
+        findings.len(),
+        all.join(",")
+    )
 }
 
 fn run() -> Result<bool, String> {
@@ -166,9 +139,6 @@ fn run() -> Result<bool, String> {
             println!("{:<16} {}", r.name, r.summary);
         }
         return Ok(true);
-    }
-    if opts.self_check {
-        return self_check(&opts);
     }
 
     let scan = scan_workspace(&opts.root)?;
@@ -183,72 +153,27 @@ fn run() -> Result<bool, String> {
             path.display()
         );
     }
-    let baseline = match std::fs::read_to_string(&opts.baseline) {
-        Ok(text) => Baseline::parse(&text)?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Baseline::default(),
-        Err(e) => return Err(format!("reading {}: {e}", opts.baseline.display())),
-    };
-
-    if opts.fix {
-        let rebuilt = Baseline::record(&findings, &baseline);
-        std::fs::write(&opts.baseline, rebuilt.render())
-            .map_err(|e| format!("writing {}: {e}", opts.baseline.display()))?;
-        eprintln!(
-            "dsm-lint: recorded {} entr{} ({} finding{}) to {}",
-            rebuilt.entries.len(),
-            if rebuilt.entries.len() == 1 {
-                "y"
-            } else {
-                "ies"
-            },
-            findings.len(),
-            if findings.len() == 1 { "" } else { "s" },
-            opts.baseline.display()
-        );
-        if rebuilt
-            .entries
-            .iter()
-            .any(|e| e.reason.starts_with("UNREVIEWED"))
-        {
-            eprintln!(
-                "dsm-lint: new entries carry UNREVIEWED reasons — replace them before committing"
-            );
-        }
-        return Ok(true);
-    }
-
-    let fresh = baseline.new_violations(&findings);
     match opts.format {
-        Format::Json => print!("{}", render_findings(&findings, &fresh)),
+        Format::Json => print!("{}", render_findings(&findings)),
         Format::Github => {
-            for f in &fresh {
+            for f in &findings {
                 println!("{}", github_annotation(f));
             }
         }
         Format::Human => {}
     }
-    for f in &fresh {
+    for f in &findings {
         eprintln!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.excerpt);
         for step in &f.chain {
             eprintln!("    {step}");
         }
     }
-    let stale = baseline.stale(&findings);
-    for e in &stale {
-        eprintln!(
-            "dsm-lint: stale baseline entry ({} in {}): no longer matches — run --fix-baseline",
-            e.rule, e.file
-        );
-    }
     eprintln!(
-        "dsm-lint: {} finding{} total, {} above baseline, {} baseline entr{} stale",
+        "dsm-lint: {} finding{}",
         findings.len(),
         if findings.len() == 1 { "" } else { "s" },
-        fresh.len(),
-        stale.len(),
-        if stale.len() == 1 { "y" } else { "ies" },
     );
-    Ok(fresh.is_empty())
+    Ok(findings.is_empty())
 }
 
 fn main() -> ExitCode {

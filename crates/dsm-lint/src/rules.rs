@@ -28,7 +28,7 @@
 //!   *reachable* state in a long-running service; panicking on it turns one
 //!   failed request into a dead server.  Recover (`PoisonError::into_inner`)
 //!   or return an error; where propagating a worker panic is genuinely the
-//!   right behavior, say so in an allow comment or baseline reason.
+//!   right behavior, say so in an allow comment.
 //! * **`float-order`** — no floating-point accumulation (`+=`/`-=`/`*=`
 //!   with a visibly-float operand, or `sum::<f64>()`) in the simulation
 //!   crates without a documented merge order.  Float addition does not
@@ -52,7 +52,7 @@ use crate::lexer::{lex, Comment, Tok, TokKind};
 /// One rule's identity and documentation line.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
-    /// The name used in findings, allow comments and baseline entries.
+    /// The name used in findings and allow comments.
     pub name: &'static str,
     /// One-line description for `--list-rules` and reports.
     pub summary: &'static str,
@@ -142,8 +142,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line number.
     pub line: u32,
-    /// The trimmed source line, used for display and as the stable
-    /// baseline key (line numbers drift; line content rarely does).
+    /// The trimmed source line, shown with the finding.
     pub excerpt: String,
     /// For the call-graph rules: the evidence chain (shortest call path
     /// from entry to panic site, or source-to-sink taint path).  Empty for

@@ -33,7 +33,6 @@
 pub mod cache;
 pub mod catalog;
 pub mod cli;
-pub mod json;
 pub mod proto;
 pub mod server;
 pub mod service;

@@ -13,7 +13,7 @@
 use std::fmt::Write as _;
 
 use crate::cache::CacheStats;
-use crate::json::{escape, escape_into, parse, Value};
+use dsm_bench::json::{self, Value};
 use dsm_bench::SweepEvent;
 
 /// A parsed, not-yet-resolved request.  Name-shaped fields (systems, costs,
@@ -97,7 +97,7 @@ pub struct SweepSpec {
 impl Request {
     /// Parse one request line.
     pub fn parse(line: &str) -> Result<Request, String> {
-        let v = parse(line)?;
+        let v = json::parse(line)?;
         let id = v.get_str("id").unwrap_or("").to_string();
         match v.get_str("kind") {
             Some("sweep") => Ok(Request::Sweep {
@@ -177,14 +177,14 @@ impl SweepSpec {
 pub fn error_line(id: &str, message: &str) -> String {
     format!(
         r#"{{"kind":"error","id":"{}","message":"{}"}}"#,
-        escape(id),
-        escape(message)
+        json::escape(id),
+        json::escape(message)
     )
 }
 
 /// Render the `ok` acknowledgement (shutdown).
 pub fn ok_line(id: &str) -> String {
-    format!(r#"{{"kind":"ok","id":"{}"}}"#, escape(id))
+    format!(r#"{{"kind":"ok","id":"{}"}}"#, json::escape(id))
 }
 
 /// Render one streamed job completion (`baseline` or `point`), written
@@ -217,7 +217,7 @@ pub fn event_line(id: &str, event: &SweepEvent<'_>) -> String {
     let mut out = String::with_capacity(512);
     // Writing into a String cannot fail, so the fmt::Results are dropped.
     let _ = write!(out, r#"{{"kind":"{kind}","id":""#);
-    escape_into(&mut out, id);
+    json::escape_into(&mut out, id);
     let _ = write!(
         out,
         r#"","index":{index},"cached":{},"cache_key":"{}","fingerprint":"{:#018x}","workload":""#,
@@ -225,17 +225,17 @@ pub fn event_line(id: &str, event: &SweepEvent<'_>) -> String {
         event.cache_key(),
         event.fingerprint(),
     );
-    escape_into(&mut out, &a.workload);
+    json::escape_into(&mut out, &a.workload);
     out.push_str(r#"","system":""#);
-    escape_into(&mut out, &a.system);
+    json::escape_into(&mut out, &a.system);
     let _ = write!(
         out,
         r#"","nodes":{},"procs_per_node":{},"page_bytes":{},"block_bytes":{},"cost":""#,
         a.nodes, a.procs_per_node, a.page_bytes, a.block_bytes,
     );
-    escape_into(&mut out, &a.cost);
+    json::escape_into(&mut out, &a.cost);
     out.push_str(r#"","scale":""#);
-    escape_into(&mut out, &a.scale);
+    json::escape_into(&mut out, &a.scale);
     out.push_str(r#"","normalized_time":"#);
     match normalized {
         Some(n) => {
@@ -272,8 +272,8 @@ pub fn sweep_done_line(id: &str, name: &str, counts: SweepCounts, elapsed_second
             r#"{{"kind":"sweep-done","id":"{}","name":"{}","points":{},"baselines":{},"#,
             r#""cached":{},"simulated":{},"elapsed_seconds":{:.6}}}"#
         ),
-        escape(id),
-        escape(name),
+        json::escape(id),
+        json::escape(name),
         counts.points,
         counts.baselines,
         counts.cached,
@@ -287,10 +287,10 @@ pub fn sweep_done_line(id: &str, name: &str, counts: SweepCounts, elapsed_second
 pub fn report_line(id: &str, table: &str, listing: &str, csv: &str) -> String {
     format!(
         r#"{{"kind":"report","id":"{}","table":"{}","listing":"{}","csv":"{}"}}"#,
-        escape(id),
-        escape(table),
-        escape(listing),
-        escape(csv)
+        json::escape(id),
+        json::escape(table),
+        json::escape(listing),
+        json::escape(csv)
     )
 }
 
@@ -298,22 +298,22 @@ pub fn report_line(id: &str, table: &str, listing: &str, csv: &str) -> String {
 pub fn trend_line(id: &str, dir: &str, entries: usize, text: &str) -> String {
     format!(
         r#"{{"kind":"trend","id":"{}","dir":"{}","entries":{},"text":"{}"}}"#,
-        escape(id),
-        escape(dir),
+        json::escape(id),
+        json::escape(dir),
         entries,
-        escape(text)
+        json::escape(text)
     )
 }
 
 /// Render the terminal `cache-stats` response.
 pub fn cache_stats_line(id: &str, stats: &CacheStats) -> String {
     let path = match &stats.path {
-        Some(p) => format!("\"{}\"", escape(&p.display().to_string())),
+        Some(p) => format!("\"{}\"", json::escape(&p.display().to_string())),
         None => "null".to_string(),
     };
     format!(
         r#"{{"kind":"cache-stats","id":"{}","entries":{},"hits":{},"misses":{},"path":{}}}"#,
-        escape(id),
+        json::escape(id),
         stats.entries,
         stats.hits,
         stats.misses,
@@ -418,7 +418,7 @@ mod tests {
 
     #[test]
     fn response_lines_are_valid_json_with_the_request_id() {
-        use crate::json::parse;
+        use dsm_bench::json::parse;
         let err = error_line("q\"1", "bad \"name\"");
         let v = parse(&err).unwrap();
         assert_eq!(v.get_str("kind"), Some("error"));
@@ -452,7 +452,7 @@ mod tests {
         );
         let v = parse(&stats).unwrap();
         assert_eq!(v.get_u64("entries"), Some(3));
-        assert_eq!(v.get("path"), Some(&crate::json::Value::Null));
+        assert_eq!(v.get("path"), Some(&Value::Null));
 
         assert!(is_terminal_kind("ok"));
         assert!(is_terminal_kind("report"));

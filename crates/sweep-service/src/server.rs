@@ -15,6 +15,7 @@ use std::path::Path;
 
 use crate::proto::is_terminal_kind;
 use crate::service::{Action, SweepService};
+use dsm_bench::json;
 
 /// Serve every request line of `reader`, writing responses to `writer`
 /// (flushed per line).  Returns the action that ended the loop:
@@ -108,7 +109,7 @@ pub fn send_request(path: &Path, request: &str) -> io::Result<Vec<String>> {
     let mut responses = Vec::new();
     for line in reader.lines() {
         let line = line?;
-        let terminal = crate::json::parse(&line)
+        let terminal = json::parse(&line)
             .ok()
             .and_then(|v| v.get_str("kind").map(is_terminal_kind))
             .unwrap_or(false);
@@ -126,7 +127,7 @@ pub fn send_request(path: &Path, request: &str) -> io::Result<Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
+    use dsm_bench::json::parse;
 
     #[test]
     fn stdio_style_stream_serves_multiple_requests() {

@@ -20,10 +20,9 @@ use crate::proto::{
     cache_stats_line, error_line, event_line, ok_line, report_line, sweep_done_line, trend_line,
     Request, SweepCounts, SweepSpec,
 };
-use dsm_bench::perf::{collect_trend, format_trend};
 use dsm_bench::report::{format_sweep_points, format_sweep_table, sweep_to_csv};
 use dsm_bench::runner::default_threads;
-use dsm_bench::{ExperimentScale, Sweep, SweepEvent, SweepResult};
+use dsm_bench::{json, perf, ExperimentScale, Sweep, SweepEvent, SweepResult};
 use dsm_core::{MachineConfig, SystemConfig};
 
 /// What the connection loop should do after a request.
@@ -82,7 +81,7 @@ impl SweepService {
             Err(e) => {
                 // The id is unknown when the line didn't parse at all; fish
                 // it out if the JSON was well-formed enough to carry one.
-                let id = crate::json::parse(line)
+                let id = json::parse(line)
                     .ok()
                     .and_then(|v| v.get_str("id").map(str::to_string))
                     .unwrap_or_default();
@@ -128,12 +127,12 @@ impl SweepService {
                 Action::Continue
             }
             Request::Trend { id, dir } => {
-                match collect_trend(std::path::Path::new(&dir)) {
+                match perf::collect_trend(std::path::Path::new(&dir)) {
                     Ok(trend) => emit(trend_line(
                         &id,
                         &dir,
                         trend.entries.len(),
-                        &format_trend(&trend),
+                        &perf::format_trend(&trend),
                     )),
                     Err(e) => emit(error_line(&id, &format!("cannot scan `{dir}`: {e}"))),
                 }
@@ -382,7 +381,7 @@ fn request_threads(requested: Option<u64>, budget: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
+    use dsm_bench::json::parse;
 
     /// A sweep small enough for unit tests: one workload at 1/32 of the
     /// paper's data sets on a 2x2-machine grid point.
@@ -419,10 +418,7 @@ mod tests {
         assert_eq!(point.get_str("workload"), Some("ocean"));
         assert_eq!(point.get_str("system"), Some("CC-NUMA"));
         assert_eq!(point.get_u64("nodes"), Some(2));
-        assert_eq!(
-            point.get("cached").unwrap(),
-            &crate::json::Value::Bool(false)
-        );
+        assert_eq!(point.get("cached").unwrap(), &json::Value::Bool(false));
         assert!(point.get("normalized_time").unwrap().as_f64().unwrap() >= 0.99);
         assert_eq!(point.get_str("cache_key").unwrap().len(), 32);
 
@@ -437,7 +433,7 @@ mod tests {
             let w = parse(warm_line).unwrap();
             assert_eq!(c.get_str("fingerprint"), w.get_str("fingerprint"));
             assert_eq!(c.get_str("cache_key"), w.get_str("cache_key"));
-            assert_eq!(w.get("cached").unwrap(), &crate::json::Value::Bool(true));
+            assert_eq!(w.get("cached").unwrap(), &json::Value::Bool(true));
         }
         let stats = service.cache_stats();
         assert_eq!(stats.entries, 2);
@@ -627,14 +623,8 @@ mod tests {
             points[1].get_str("fingerprint")
         );
         // The copy is answered after the point it copies.
-        assert_eq!(
-            points[0].get("cached"),
-            Some(&crate::json::Value::Bool(false))
-        );
-        assert_eq!(
-            points[1].get("cached"),
-            Some(&crate::json::Value::Bool(true))
-        );
+        assert_eq!(points[0].get("cached"), Some(&json::Value::Bool(false)));
+        assert_eq!(points[1].get("cached"), Some(&json::Value::Bool(true)));
         assert_eq!(service.cache_stats().entries, 2);
     }
 
@@ -673,7 +663,7 @@ mod tests {
         let v = parse(&lines[0]).unwrap();
         assert_eq!(v.get_str("kind"), Some("cache-stats"));
         assert_eq!(v.get_u64("entries"), Some(0));
-        assert_eq!(v.get("path"), Some(&crate::json::Value::Null));
+        assert_eq!(v.get("path"), Some(&json::Value::Null));
 
         let (lines, action) = collect(&service, r#"{"kind":"shutdown","id":"bye"}"#);
         assert_eq!(action, Action::Shutdown);

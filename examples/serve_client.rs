@@ -9,7 +9,7 @@
 //! restarts; `serve --connect PATH --request '{...}'` is this client as a
 //! command line.
 
-use dsm_repro::service::json::parse;
+use dsm_repro::bench::json::parse;
 use dsm_repro::service::{send_request, serve_unix, SweepService};
 
 fn main() {

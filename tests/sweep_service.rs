@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use dsm_repro::service::json::{parse, Value};
+use dsm_repro::bench::json::{parse, Value};
 use dsm_repro::service::{ResultCache, SweepService};
 
 const GOLDEN: &str = include_str!("golden/api_parity.txt");
