@@ -13,22 +13,40 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 
-use crate::proto::is_terminal_kind;
+use crate::proto::{error_line, is_terminal_kind};
 use crate::service::{Action, SweepService};
 use dsm_bench::json;
 
 /// Serve every request line of `reader`, writing responses to `writer`
-/// (flushed per line).  Returns the action that ended the loop:
+/// (flushed per line).  A line that is not UTF-8 is answered with an
+/// `error` response with an empty id, like a line that is not JSON, and
+/// serving continues.  Returns the action that ended the loop:
 /// [`Action::Shutdown`] for a shutdown request, [`Action::Continue`] for
 /// EOF.
-pub fn serve_stream<R, W>(service: &SweepService, reader: R, writer: &mut W) -> io::Result<Action>
+pub fn serve_stream<R, W>(
+    service: &SweepService,
+    mut reader: R,
+    writer: &mut W,
+) -> io::Result<Action>
 where
     R: BufRead,
     W: Write + Send,
 {
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        if reader.read_until(b'\n', &mut buf)? == 0 {
+            return Ok(Action::Continue);
+        }
+        // Strip the line ending as `BufRead::lines` does.
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        }
+        let line = std::str::from_utf8(&buf);
+        if line.is_ok_and(|l| l.trim().is_empty()) {
             continue;
         }
         let mut write_error = None;
@@ -40,7 +58,13 @@ where
                 }
             }
         };
-        let action = service.handle_line(&line, &mut emit);
+        let action = match line {
+            Ok(line) => service.handle_line(line, &mut emit),
+            Err(e) => {
+                emit(error_line("", &format!("request line is not UTF-8: {e}")));
+                Action::Continue
+            }
+        };
         if let Some(e) = write_error {
             return Err(e);
         }
@@ -48,7 +72,6 @@ where
             return Ok(Action::Shutdown);
         }
     }
-    Ok(Action::Continue)
 }
 
 /// Serve requests from stdin to stdout until EOF or shutdown.
@@ -146,6 +169,24 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert_eq!(parse(lines[0]).unwrap().get_str("id"), Some("a"));
         assert_eq!(parse(lines[1]).unwrap().get_str("id"), Some("b"));
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_answered_and_serving_continues() {
+        let service = SweepService::in_memory();
+        let input: &[u8] = b"\xff\n{\"kind\":\"cache-stats\",\"id\":\"c\"}\n";
+        let mut out = Vec::new();
+        let action = serve_stream(&service, input, &mut out).unwrap();
+        assert_eq!(action, Action::Continue, "EOF ends the loop");
+        let out = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 2, "{out}");
+        let error = parse(lines[0]).unwrap();
+        assert_eq!(error.get_str("kind"), Some("error"));
+        assert_eq!(error.get_str("id"), Some(""));
+        let stats = parse(lines[1]).unwrap();
+        assert_eq!(stats.get_str("kind"), Some("cache-stats"));
+        assert_eq!(stats.get_str("id"), Some("c"));
     }
 
     #[test]
