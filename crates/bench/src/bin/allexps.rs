@@ -33,5 +33,5 @@ fn main() {
     print!("{}", report::format_table4(&result));
     all_results.push(result);
 
-    opts.emit_artifacts_all(&all_results);
+    opts.emit_artifacts(&all_results);
 }

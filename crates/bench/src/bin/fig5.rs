@@ -9,5 +9,5 @@ fn main() {
     }
     let result = opts.run_preset(presets::figure5(opts.scale));
     print!("{}", report::format_normalized_table(&result));
-    opts.emit_artifacts(&result);
+    opts.emit_artifacts(&[result]);
 }

@@ -3,8 +3,7 @@
 //! operation counts from a reduced-scale run of two representative
 //! workloads (lu: replication-friendly; ocean: neither).
 
-use dsm_bench::{presets, Experiment, Options};
-use dsm_core::MachineConfig;
+use dsm_bench::{presets, Axis, Options, Sweep};
 
 fn main() {
     let opts = Options::from_env();
@@ -30,26 +29,27 @@ fn main() {
     );
     println!();
     println!("# measured per-node page-operation counts supporting the frequency column");
-    let result = Experiment::new(MachineConfig::PAPER)
-        .systems(presets::table4(opts.scale))
+    let set = presets::table4(opts.scale);
+    let result = Sweep::new(set.experiment)
+        .system_set(set)
         .workloads(["lu", "ocean"])
         .scale(opts.scale)
         .threads(opts.threads)
         .run();
-    let migrep = result.system_index("MigRep").expect("preset has MigRep");
-    let rnuma = result.system_index("R-NUMA").expect("preset has R-NUMA");
     println!(
         "{:<10} {:>22} {:>22} {:>26}",
         "workload", "migrations/node", "replications/node", "R-NUMA relocations/node"
     );
-    for w in &result.per_workload {
+    for workload in result.axis_values(Axis::Workload) {
+        let system = |name| &result.point(&workload, name).expect("preset has it").result;
+        let (migrep, rnuma) = (system("MigRep"), system("R-NUMA"));
         println!(
             "{:<10} {:>22.1} {:>22.1} {:>26.1}",
-            w.workload,
-            w.results[migrep].per_node_migrations(),
-            w.results[migrep].per_node_replications(),
-            w.results[rnuma].per_node_relocations()
+            workload,
+            migrep.per_node_migrations(),
+            migrep.per_node_replications(),
+            rnuma.per_node_relocations()
         );
     }
-    opts.emit_artifacts(&result);
+    opts.emit_artifacts(&[result]);
 }

@@ -10,5 +10,5 @@ fn main() {
     }
     let result = opts.run_preset(presets::table4(opts.scale));
     print!("{}", report::format_table4(&result));
-    opts.emit_artifacts(&result);
+    opts.emit_artifacts(&[result]);
 }

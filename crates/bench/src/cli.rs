@@ -6,8 +6,8 @@
 //! * `--custom N[/D]`     — run N/D times the Table 2 problem sizes;
 //! * `--workloads a,b,c`  — restrict to a subset of the seven workloads;
 //! * `--threads N`        — number of simulation worker threads;
-//! * `--csv`              — also print results as CSV for plotting;
-//! * `--out FILE`         — also write results as machine-readable JSON;
+//! * `--csv`              — also print each result as sweep CSV;
+//! * `--out FILE`         — also write the results as sweep JSON;
 //! * `--record FILE`      — stream one workload's trace to FILE and exit;
 //! * `--replay FILE`      — run the experiment on a recorded trace file;
 //! * `--help` / `-h`      — print usage and exit.
@@ -15,9 +15,8 @@
 use std::path::PathBuf;
 
 use crate::presets::{ExperimentScale, SystemSet};
-use crate::runner::{default_threads, ExperimentResult};
-use crate::{report, Experiment};
-use dsm_core::MachineConfig;
+use crate::report;
+use crate::sweep::{default_threads, Sweep, SweepResult};
 
 /// Usage text printed by `--help` and appended to flag errors.
 pub const USAGE: &str = "\
@@ -34,8 +33,10 @@ options:
                        workloads (barnes, cholesky, fmm, lu, ocean, radix,
                        raytrace)
   --threads N          number of simulation worker threads
-  --csv                also print results as CSV for plotting
-  --out FILE           also write results as JSON to FILE
+  --csv                also print each result as sweep CSV, one row per
+                       (workload, system)
+  --out FILE           also write the results as sweep JSON to FILE (an
+                       array when the binary runs several experiments)
   --record FILE        stream the selected workload's trace to FILE and
                        exit without simulating (needs exactly one
                        --workloads entry)
@@ -92,16 +93,14 @@ pub struct Options {
     pub replay: Option<PathBuf>,
 }
 
-/// Parse a `--custom` value: `"N"` or `"N/D"` with nonzero terms.
-fn parse_custom_scale(v: &str) -> Result<splash_workloads::CustomScale, CliError> {
-    let bad = || CliError::BadValue(format!("bad value `{v}` for `--custom` (want N or N/D)"));
-    let (numer, denom) = match v.split_once('/') {
-        Some((n, d)) => (n.parse::<u32>().ok(), d.parse::<u32>().ok()),
-        None => (v.parse::<u32>().ok(), Some(1)),
-    };
-    match (numer, denom) {
-        (Some(n), Some(d)) if n > 0 && d > 0 => Ok(splash_workloads::CustomScale::new(n, d)),
-        _ => Err(bad()),
+/// Parse a `--custom` value, `"N"` or `"N/D"`: the `xN`/`xN/D` scale
+/// label without its `x`.
+fn parse_custom_scale(v: &str) -> Result<ExperimentScale, CliError> {
+    match ExperimentScale::parse(&format!("x{v}")) {
+        Some(scale @ ExperimentScale::Custom(_)) => Ok(scale),
+        _ => Err(CliError::BadValue(format!(
+            "bad value `{v}` for `--custom` (want N or N/D)"
+        ))),
     }
 }
 
@@ -135,7 +134,7 @@ impl Options {
                 "--paper" => opts.scale = ExperimentScale::Paper,
                 "--custom" => {
                     let v = value_of(&mut iter, "--custom")?;
-                    opts.scale = ExperimentScale::Custom(parse_custom_scale(&v)?);
+                    opts.scale = parse_custom_scale(&v)?;
                 }
                 "--csv" => opts.csv = true,
                 "--threads" => {
@@ -207,42 +206,37 @@ impl Options {
     }
 
     /// Run one preset experiment on the paper machine under these options
-    /// (scale, workloads/replay, threads) and return the result — the body
-    /// every figure/table binary shares.
-    pub fn run_preset(&self, set: SystemSet) -> ExperimentResult {
-        Experiment::new(MachineConfig::PAPER)
-            .systems(set)
-            .options(self)
-            .run()
+    /// (scale, workloads/replay, threads) as a one-point sweep named after
+    /// the preset — the body every figure/table binary shares.
+    pub fn run_preset(&self, set: SystemSet) -> SweepResult {
+        let sweep = Sweep::new(set.experiment).system_set(set);
+        let sweep = match &self.replay {
+            Some(path) => sweep.replay(path.clone()),
+            None => sweep.workloads(self.workload_names()),
+        };
+        sweep.scale(self.scale).threads(self.threads).run()
     }
 
-    /// Emit the optional artifacts of a finished experiment: CSV to stdout
-    /// under `--csv`, JSON to the `--out` file.
+    /// Emit the optional artifacts of finished experiments: each result's
+    /// sweep CSV to stdout under `--csv`; under `--out`, one sweep JSON
+    /// object to the file, or an array of them for several results.
     ///
     /// Exits with status 2 if the `--out` file cannot be written.
-    pub fn emit_artifacts(&self, result: &ExperimentResult) {
-        if self.csv {
-            print!("{}", report::to_csv(result));
-        }
-        if let Some(path) = &self.out {
-            if let Err(e) = report::write_json(path, result) {
-                eprintln!("error: writing {}: {e}", path.display());
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Like [`emit_artifacts`](Options::emit_artifacts) for binaries that
-    /// produce several experiment results (`allexps`): CSV per result under
-    /// `--csv`, one JSON array to the `--out` file.
-    pub fn emit_artifacts_all(&self, results: &[ExperimentResult]) {
+    pub fn emit_artifacts(&self, results: &[SweepResult]) {
         if self.csv {
             for result in results {
-                print!("{}", report::to_csv(result));
+                print!("{}", report::sweep_to_csv(result));
             }
         }
         if let Some(path) = &self.out {
-            if let Err(e) = report::write_json_all(path, results) {
+            let body = match results {
+                [one] => report::sweep_to_json(one),
+                many => {
+                    let objects: Vec<String> = many.iter().map(report::sweep_to_json).collect();
+                    format!("[{}]", objects.join(","))
+                }
+            };
+            if let Err(e) = std::fs::write(path, body + "\n") {
                 eprintln!("error: writing {}: {e}", path.display());
                 std::process::exit(2);
             }

@@ -8,45 +8,39 @@
 //! thresholds scaled by the same factor as the working sets so that the
 //! capacity relationships of the paper are preserved.
 //!
-//! Programmatic use goes through the [`Experiment`] builder for one-machine
-//! figure reproductions:
+//! Programmatic use goes through the [`Sweep`] builder.  A figure is a
+//! one-point sweep over a preset [`SystemSet`] — one machine, the
+//! preset's baseline and systems, the chosen workloads:
 //!
 //! ```no_run
-//! use dsm_bench::{presets, Experiment, ExperimentScale};
-//! use dsm_core::MachineConfig;
+//! use dsm_bench::{presets, ExperimentScale, Sweep};
 //!
-//! let result = Experiment::new(MachineConfig::PAPER)
-//!     .systems(presets::figure5(ExperimentScale::Reduced))
+//! let set = presets::figure5(ExperimentScale::Reduced);
+//! let result = Sweep::new(set.experiment)
+//!     .system_set(set)
 //!     .workloads(["lu"])
 //!     .run();
 //! print!("{}", dsm_bench::report::format_normalized_table(&result));
 //! ```
 //!
-//! …and through the [`Sweep`] builder for parameter-space grids over
-//! machine axes (cluster nodes, processors per node, page size, block
-//! size), system axes (templates, cost models, thresholds, relocation
-//! delays) and workloads — see the [`sweep`] module docs.
+//! …and a parameter-space grid adds machine axes (cluster nodes,
+//! processors per node, page size, block size), system axes (templates,
+//! cost models, thresholds, relocation delays) and workloads — see the
+//! [`sweep`] module docs.
 
 pub mod cache_key;
 pub mod cli;
-pub mod experiment;
 pub mod json;
 pub mod perf;
 pub mod presets;
 pub mod report;
-pub mod runner;
 pub mod sweep;
 
 pub use cache_key::{point_key, CacheKey, KeyHasher, KEY_FORMAT_VERSION};
 pub use cli::{CliError, Options};
-pub use experiment::Experiment;
 pub use perf::{PerfJob, PerfReport};
 pub use presets::{ExperimentScale, SystemSet};
-pub use report::{
-    format_normalized_table, format_sweep_points, format_table4, normalized_rows, to_json,
-    write_json,
-};
-pub use runner::{ExperimentResult, WorkloadResult};
+pub use report::{format_normalized_table, format_sweep_points, format_table4};
 pub use sweep::{
     Axis, AxisValues, BaselinePoint, Metric, MetricSet, ParamPoint, ParamSpace, PointResult, Sweep,
     SweepEvent, SweepResult,

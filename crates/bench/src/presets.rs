@@ -62,6 +62,21 @@ impl ExperimentScale {
         self.workload_scale().label()
     }
 
+    /// Parse a [`label`](ExperimentScale::label): `"reduced"`, `"paper"`,
+    /// `"xN"` or `"xN/D"`, with nonzero `N` and `D`.
+    pub fn parse(label: &str) -> Option<ExperimentScale> {
+        match label {
+            "reduced" => return Some(ExperimentScale::Reduced),
+            "paper" => return Some(ExperimentScale::Paper),
+            _ => {}
+        }
+        let rest = label.strip_prefix('x')?;
+        let (numer, denom) = rest.split_once('/').unwrap_or((rest, "1"));
+        let numer: u32 = numer.parse().ok()?;
+        let denom: u32 = denom.parse().ok()?;
+        (numer > 0 && denom > 0).then(|| ExperimentScale::Custom(CustomScale::new(numer, denom)))
+    }
+
     /// Policy thresholds for the fast systems at this scale.
     ///
     /// The migration/replication threshold is scaled slightly more
@@ -290,6 +305,28 @@ pub fn figure8(scale: ExperimentScale) -> SystemSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scales_parse_their_own_labels() {
+        for scale in [
+            ExperimentScale::Reduced,
+            ExperimentScale::Paper,
+            ExperimentScale::Custom(CustomScale::new(3, 1)),
+            ExperimentScale::Custom(CustomScale::new(1, 32)),
+        ] {
+            assert_eq!(ExperimentScale::parse(&scale.label()), Some(scale));
+        }
+        for bad in ["", "x", "x0", "x1/0", "huge", "x1/2/3", "x-1"] {
+            assert_eq!(
+                ExperimentScale::parse(bad),
+                None,
+                "`{bad}` should not parse"
+            );
+        }
+        // The committed above-x1 preset resolves to the same scale the
+        // experiment binaries reach via `--custom 4`.
+        assert_eq!(ExperimentScale::parse("x4"), Some(ExperimentScale::X4));
+    }
 
     #[test]
     fn scales_resolve_flags_and_workload_scale() {

@@ -1,44 +1,46 @@
-//! Text rendering of experiment results in the shape of the paper's
-//! figures and tables, machine-readable JSON for the perf trajectory
-//! (`--out FILE`, conventionally `BENCH_*.json`), and the sweep renderers
-//! (JSON, CSV, and axis-by-axis markdown tables over a
-//! [`SweepResult`]).
+//! Text rendering of sweep results: the paper's figures and tables (each
+//! figure binary runs a one-point [`SweepResult`]), and the sweep
+//! renderers — JSON, CSV, and axis-by-axis markdown tables — that the
+//! binaries' `--out`/`--csv` flags and the sweep service write.
 
 use crate::json;
-use crate::runner::ExperimentResult;
 use crate::sweep::{Axis, Metric, SweepResult};
 use dsm_core::SimResult;
 use std::io;
 use std::path::Path;
 
-/// Rows of (workload, normalized execution time per system) suitable for a
-/// bar chart like Figures 5-8.
-pub fn normalized_rows(result: &ExperimentResult) -> Vec<(String, Vec<f64>)> {
-    result
-        .per_workload
-        .iter()
-        .map(|w| {
-            let values = (0..result.system_names.len())
-                .map(|i| w.normalized(i))
-                .collect();
-            (w.workload.clone(), values)
-        })
-        .collect()
-}
-
 /// Format a normalized-execution-time table (one row per workload, one
-/// column per system), plus a mean row — the textual equivalent of the
-/// paper's bar charts.
-pub fn format_normalized_table(result: &ExperimentResult) -> String {
+/// column per system, both in first-seen order), plus a mean row — the
+/// textual equivalent of the paper's bar charts.
+pub fn format_normalized_table(result: &SweepResult) -> String {
+    let systems = result.axis_values(Axis::System);
+    // A sweep is a cartesian product, so every (workload, system) cell has
+    // a point.
+    let rows: Vec<(String, Vec<f64>)> = result
+        .axis_values(Axis::Workload)
+        .into_iter()
+        .map(|workload| {
+            let values = systems
+                .iter()
+                .map(|system| {
+                    result
+                        .point(&workload, system)
+                        .map_or(f64::NAN, |p| p.normalized_time)
+                })
+                .collect();
+            (workload, values)
+        })
+        .collect();
+
     let mut out = String::new();
-    out.push_str(&format!("# {}\n", result.experiment));
+    out.push_str(&format!("# {}\n", result.name));
     out.push_str("# normalized execution time (perfect CC-NUMA = 1.00)\n");
     out.push_str(&format!("{:<12}", "benchmark"));
-    for name in &result.system_names {
+    for name in &systems {
         out.push_str(&format!(" {:>18}", name));
     }
     out.push('\n');
-    for (workload, values) in normalized_rows(result) {
+    for (workload, values) in &rows {
         out.push_str(&format!("{workload:<12}"));
         for v in values {
             out.push_str(&format!(" {v:>18.2}"));
@@ -46,29 +48,21 @@ pub fn format_normalized_table(result: &ExperimentResult) -> String {
         out.push('\n');
     }
     out.push_str(&format!("{:<12}", "mean"));
-    for i in 0..result.system_names.len() {
-        out.push_str(&format!(" {:>18.2}", result.mean_normalized(i)));
+    for i in 0..systems.len() {
+        let mean = rows.iter().map(|(_, v)| v[i]).sum::<f64>() / rows.len() as f64;
+        out.push_str(&format!(" {mean:>18.2}"));
     }
     out.push('\n');
     out
 }
 
 /// Format the Table 4 analogue: per-node page operations and misses for
-/// CC-NUMA, CC-NUMA+MigRep and R-NUMA.
+/// CC-NUMA, CC-NUMA+MigRep and R-NUMA, one row per workload.
 ///
-/// Expects the experiment produced by [`crate::presets::table4`] (systems
-/// CC-NUMA, MigRep, R-NUMA in that order).
-pub fn format_table4(result: &ExperimentResult) -> String {
-    let migrep = result
-        .system_index("MigRep")
-        .expect("table4 preset includes MigRep");
-    let ccnuma = result
-        .system_index("CC-NUMA")
-        .expect("table4 preset includes CC-NUMA");
-    let rnuma = result
-        .system_index("R-NUMA")
-        .expect("table4 preset includes R-NUMA");
-
+/// # Panics
+/// Panics unless every workload has a point for each of the three systems
+/// of [`crate::presets::table4`].
+pub fn format_table4(result: &SweepResult) -> String {
     let mut out = String::new();
     out.push_str("# Table 4: per-node page operations and remote misses\n");
     out.push_str(&format!(
@@ -81,23 +75,27 @@ pub fn format_table4(result: &ExperimentResult) -> String {
         "MigRep misses(cap)",
         "R-NUMA misses(cap)"
     ));
-    for w in &result.per_workload {
-        let mig = w.results[migrep].per_node_migrations();
-        let rep = w.results[migrep].per_node_replications();
-        let reloc = w.results[rnuma].per_node_relocations();
-        let fmt_misses = |i: usize| {
+    for workload in result.axis_values(Axis::Workload) {
+        let system = |name: &str| {
+            &result
+                .point(&workload, name)
+                .unwrap_or_else(|| panic!("table4 preset includes {name}"))
+                .result
+        };
+        let (ccnuma, migrep, rnuma) = (system("CC-NUMA"), system("MigRep"), system("R-NUMA"));
+        let fmt_misses = |r: &SimResult| {
             format!(
                 "{:.1}k ({:.1}k)",
-                w.results[i].per_node_remote_misses() / 1_000.0,
-                w.results[i].per_node_remote_capacity_misses() / 1_000.0
+                r.per_node_remote_misses() / 1_000.0,
+                r.per_node_remote_capacity_misses() / 1_000.0
             )
         };
         out.push_str(&format!(
             "{:<12} {:>10.0} {:>12.0} {:>12.0} | {:>22} {:>22} {:>22}\n",
-            w.workload,
-            mig,
-            rep,
-            reloc,
+            workload,
+            migrep.per_node_migrations(),
+            migrep.per_node_replications(),
+            rnuma.per_node_relocations(),
             fmt_misses(ccnuma),
             fmt_misses(migrep),
             fmt_misses(rnuma),
@@ -190,115 +188,6 @@ pub fn format_table3() -> String {
     out
 }
 
-/// Render results as CSV (one line per workload x system) for plotting.
-pub fn to_csv(result: &ExperimentResult) -> String {
-    let mut out = String::from("workload,system,normalized_time,remote_misses_per_node,capacity_misses_per_node,migrations,replications,relocations\n");
-    for w in &result.per_workload {
-        for (i, name) in result.system_names.iter().enumerate() {
-            let r = &w.results[i];
-            out.push_str(&format!(
-                "{},{},{:.4},{:.1},{:.1},{:.1},{:.1},{:.1}\n",
-                w.workload,
-                name,
-                w.normalized(i),
-                r.per_node_remote_misses(),
-                r.per_node_remote_capacity_misses(),
-                r.per_node_migrations(),
-                r.per_node_replications(),
-                r.per_node_relocations(),
-            ));
-        }
-    }
-    out
-}
-
-fn sim_result_json(r: &SimResult, baseline: Option<&SimResult>, elapsed_seconds: f64) -> String {
-    let normalized = baseline
-        .map(|b| format!(",\"normalized_time\":{:.6}", r.normalized_against(b)))
-        .unwrap_or_default();
-    format!(
-        concat!(
-            "{{\"system\":\"{}\",\"execution_time\":{},\"accesses\":{},\"barriers\":{},",
-            "\"remote_misses\":{},\"remote_capacity_misses\":{},",
-            "\"migrations_per_node\":{:.1},\"replications_per_node\":{:.1},",
-            "\"relocations_per_node\":{:.1},\"page_cache_replacements\":{},",
-            "\"network_messages\":{},\"network_bytes\":{},",
-            "\"elapsed_seconds\":{:.6}{}}}"
-        ),
-        json::escape(&r.system),
-        r.execution_time.raw(),
-        r.accesses,
-        r.barriers,
-        r.total_remote_misses(),
-        r.total_remote_capacity_misses(),
-        r.per_node_migrations(),
-        r.per_node_replications(),
-        r.per_node_relocations(),
-        r.total_page_cache_replacements(),
-        r.traffic.total_messages(),
-        r.traffic.total_bytes(),
-        elapsed_seconds,
-        normalized,
-    )
-}
-
-/// Render one experiment result as a JSON object (systems, per-workload
-/// baseline and per-system metrics, normalized execution times).
-pub fn to_json(result: &ExperimentResult) -> String {
-    let systems = result
-        .system_names
-        .iter()
-        .map(|n| format!("\"{}\"", json::escape(n)))
-        .collect::<Vec<_>>()
-        .join(",");
-    let workloads = result
-        .per_workload
-        .iter()
-        .map(|w| {
-            let rows = w
-                .results
-                .iter()
-                .zip(&w.elapsed_seconds)
-                .map(|(r, elapsed)| sim_result_json(r, Some(&w.baseline), *elapsed))
-                .collect::<Vec<_>>()
-                .join(",");
-            format!(
-                "{{\"workload\":\"{}\",\"baseline\":{},\"results\":[{}]}}",
-                json::escape(&w.workload),
-                sim_result_json(&w.baseline, None, w.baseline_elapsed_seconds),
-                rows
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let means = (0..result.system_names.len())
-        .map(|i| format!("{:.6}", result.mean_normalized(i)))
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        concat!(
-            "{{\"experiment\":\"{}\",\"systems\":[{}],",
-            "\"mean_normalized_time\":[{}],\"workloads\":[{}]}}"
-        ),
-        json::escape(&result.experiment),
-        systems,
-        means,
-        workloads
-    )
-}
-
-/// Write one experiment result as a JSON object to `path`.
-pub fn write_json(path: &Path, result: &ExperimentResult) -> io::Result<()> {
-    std::fs::write(path, to_json(result) + "\n")
-}
-
-/// Write several experiment results as a JSON array to `path` (used by
-/// `allexps --out`).
-pub fn write_json_all(path: &Path, results: &[ExperimentResult]) -> io::Result<()> {
-    let body = results.iter().map(to_json).collect::<Vec<_>>().join(",");
-    std::fs::write(path, format!("[{body}]\n"))
-}
-
 // ---------------------------------------------------------------------
 // Sweep renderers
 // ---------------------------------------------------------------------
@@ -325,8 +214,9 @@ pub fn sweep_to_csv(result: &SweepResult) -> String {
     }
     out.push_str(
         "normalized_time,execution_time,accesses,remote_misses_per_node,\
-         migrations_per_node,replications_per_node,relocations_per_node,\
-         network_messages,network_bytes,bytes_per_access,cache_key,fingerprint\n",
+         remote_capacity_misses_per_node,migrations_per_node,\
+         replications_per_node,relocations_per_node,network_messages,\
+         network_bytes,bytes_per_access,cache_key,fingerprint\n",
     );
     for p in &result.points {
         let m = p.metrics();
@@ -335,11 +225,12 @@ pub fn sweep_to_csv(result: &SweepResult) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "{:.4},{},{},{:.1},{:.1},{:.1},{:.1},{},{},{:.2},{},{:#018x}\n",
+            "{:.4},{},{},{:.1},{:.1},{:.1},{:.1},{:.1},{},{},{:.2},{},{:#018x}\n",
             m.normalized_time,
             m.execution_time,
             m.accesses,
             m.remote_misses_per_node,
+            m.remote_capacity_misses_per_node,
             m.migrations_per_node,
             m.replications_per_node,
             m.relocations_per_node,
@@ -486,9 +377,10 @@ pub fn sweep_to_json(result: &SweepResult) -> String {
             .unwrap_or_default();
         format!(
             concat!(
-                "{{{axes},{norm}\"execution_time\":{},\"accesses\":{},",
-                "\"remote_misses_per_node\":{:.1},\"migrations_per_node\":{:.1},",
-                "\"replications_per_node\":{:.1},\"relocations_per_node\":{:.1},",
+                "{{{axes},{norm}\"execution_time\":{},\"accesses\":{},\"barriers\":{},",
+                "\"remote_misses_per_node\":{:.1},\"remote_capacity_misses_per_node\":{:.1},",
+                "\"migrations_per_node\":{:.1},\"replications_per_node\":{:.1},",
+                "\"relocations_per_node\":{:.1},\"page_cache_replacements\":{},",
                 "\"network_messages\":{},\"network_bytes\":{},",
                 "\"elapsed_seconds\":{:.6},",
                 "\"cache_key\":\"{key}\",\"fingerprint\":\"{fp:#018x}\",",
@@ -496,10 +388,13 @@ pub fn sweep_to_json(result: &SweepResult) -> String {
             ),
             m.execution_time,
             m.accesses,
+            r.barriers,
             m.remote_misses_per_node,
+            m.remote_capacity_misses_per_node,
             m.migrations_per_node,
             m.replications_per_node,
             m.relocations_per_node,
+            r.total_page_cache_replacements(),
             m.network_messages,
             m.network_bytes,
             elapsed,
@@ -561,15 +456,16 @@ pub fn write_sweep_json(path: &Path, result: &SweepResult) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::Experiment;
     use crate::presets::{table4, ExperimentScale};
     use crate::sweep::Sweep;
-    use dsm_core::{MachineConfig, System};
+    use dsm_core::System;
 
-    fn small_result() -> ExperimentResult {
-        Experiment::new(MachineConfig::PAPER)
-            .systems(table4(ExperimentScale::Reduced))
-            .workloads(["ocean"])
+    /// Table 4's one-point sweep on ocean and lu.
+    fn small_result() -> SweepResult {
+        let set = table4(ExperimentScale::Reduced);
+        Sweep::new(set.experiment)
+            .system_set(set)
+            .workloads(["ocean", "lu"])
             .threads(4)
             .run()
     }
@@ -578,6 +474,7 @@ mod tests {
     fn tables_render_every_workload_and_system() {
         let result = small_result();
         let table = format_normalized_table(&result);
+        assert!(table.starts_with("# Table 4"), "{table}");
         assert!(table.contains("ocean"));
         assert!(table.contains("CC-NUMA"));
         assert!(table.contains("R-NUMA"));
@@ -587,38 +484,53 @@ mod tests {
         assert!(t4.contains("ocean"));
         assert!(t4.contains("migrations"));
 
-        let csv = to_csv(&result);
-        assert_eq!(csv.lines().count(), 1 + result.system_names.len());
-        assert!(csv.starts_with("workload,system"));
-    }
-
-    #[test]
-    fn json_output_covers_workloads_and_systems() {
-        let result = small_result();
-        let json = to_json(&result);
-        assert!(json.contains("\"experiment\""));
-        assert!(json.contains("\"workload\":\"ocean\""));
-        assert!(json.contains("\"system\":\"R-NUMA\""));
-        assert!(json.contains("\"normalized_time\""));
-        assert!(json.contains("\"execution_time\""));
-        assert!(json.contains("\"elapsed_seconds\""));
-        let doc = crate::json::parse(&json).expect("report JSON parses");
-        assert_eq!(doc.get_str("experiment"), Some(result.experiment.as_str()));
-
-        let path = std::env::temp_dir().join("dsm-repro-report-test.json");
-        write_json(&path, &result).unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap().trim(), json);
-        write_json_all(&path, &[result.clone(), result]).unwrap();
-        assert!(std::fs::read_to_string(&path).unwrap().starts_with('['));
-        std::fs::remove_file(&path).ok();
+        let csv = sweep_to_csv(&result);
+        assert_eq!(csv.lines().count(), 1 + result.points.len());
+        assert!(csv.starts_with("nodes,procs_per_node,"));
     }
 
     #[test]
     fn normalized_rows_match_table_dimensions() {
         let result = small_result();
-        let rows = normalized_rows(&result);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].1.len(), result.system_names.len());
+        let table = format_normalized_table(&result);
+        let rows: Vec<Vec<&str>> = table
+            .lines()
+            .skip(3)
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        // One row per workload in run order, then the mean; one column per
+        // system.
+        let firsts: Vec<&str> = rows.iter().map(|r| r[0]).collect();
+        assert_eq!(firsts, ["ocean", "lu", "mean"]);
+        assert!(rows.iter().all(|r| r.len() == 1 + 3), "{table}");
+        let cc_numa = |w| result.point(w, "CC-NUMA").unwrap().normalized_time;
+        assert_eq!(rows[1][1], format!("{:.2}", cc_numa("lu")));
+        let mean = (cc_numa("ocean") + cc_numa("lu")) / 2.0;
+        assert_eq!(rows[2][1], format!("{mean:.2}"));
+    }
+
+    #[test]
+    fn json_output_covers_workloads_and_systems() {
+        let result = small_result();
+        let json = sweep_to_json(&result);
+        assert!(json.contains("\"workload\":\"ocean\""));
+        assert!(json.contains("\"system\":\"R-NUMA\""));
+        let doc = crate::json::parse(&json).expect("report JSON parses");
+        assert_eq!(doc.get_str("sweep"), Some(result.name.as_str()));
+        for field in [
+            "normalized_time",
+            "execution_time",
+            "barriers",
+            "remote_capacity_misses_per_node",
+            "page_cache_replacements",
+            "elapsed_seconds",
+        ] {
+            assert_eq!(
+                json.matches(&format!("\"{field}\"")).count(),
+                result.points.len() + if field == "normalized_time" { 0 } else { 2 },
+                "{field}"
+            );
+        }
     }
 
     fn small_sweep() -> SweepResult {

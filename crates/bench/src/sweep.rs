@@ -12,9 +12,9 @@
 //! own deterministic trace, generated inside the simulator's pull loop
 //! ([`splash_workloads::fused`]) — so a sweep point is exactly the
 //! simulation a standalone [`ClusterSimulator`] run of that configuration
-//! would be; the single-machine
-//! [`Experiment`](crate::Experiment) builder is now a thin one-point sweep
-//! over this engine.
+//! would be.  Every figure and table binary runs a one-point sweep: one
+//! machine, no swept axes, a preset [`SystemSet`] (see
+//! [`crate::cli::Options::run_preset`]).
 //!
 //! ```no_run
 //! use dsm_bench::{Axis, ExperimentScale, Metric, Sweep};
@@ -46,18 +46,39 @@
 //! across the grid.
 
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use crate::cache_key::{point_key, CacheKey};
 use crate::presets::{ExperimentScale, SystemSet};
-use crate::runner::default_threads;
 use dsm_core::{ClusterSimulator, CostModel, MachineConfig, SimResult, SystemConfig, Thresholds};
 use dsm_protocol::MsgKind;
 use mem_trace::{Geometry, ProgramTrace, ReplaySource, Topology, TraceSource};
 use sim_engine::Cycles;
 use splash_workloads::{by_name, WorkloadConfig};
+
+/// Number of worker threads to use by default: one per CPU.
+///
+/// No hard cap: [`Sweep::run`] clamps the worker count to the sweep's
+/// actual job count, so large machines use every core a figure can keep
+/// busy instead of idling past an arbitrary ceiling.
+pub fn default_threads() -> usize {
+    available_cores().unwrap_or(4)
+}
+
+/// The processor count `std::thread::available_parallelism` reports, read
+/// once per process: on Linux each call reads cgroup files, and a sweep
+/// service builds a `Sweep` per request.
+fn available_cores() -> Option<usize> {
+    static CORES: OnceLock<Option<usize>> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .ok()
+            .map(NonZeroUsize::get)
+    })
+}
 
 /// The axes a sweep point is addressed by (see [`AxisValues::value`] and
 /// [`SweepResult::group_by`]).
@@ -1035,6 +1056,14 @@ impl SweepResult {
         self.group_by(axis).into_iter().map(|(v, _)| v).collect()
     }
 
+    /// The first point of `system` on `workload` (in a one-point sweep,
+    /// the only one).
+    pub fn point(&self, workload: &str, system: &str) -> Option<&PointResult> {
+        self.points
+            .iter()
+            .find(|p| p.axes.workload == workload && p.axes.system == system)
+    }
+
     /// Mean of `metric` over all points (0 for an empty sweep).
     pub fn mean_metric(&self, metric: Metric) -> f64 {
         mean(self.points.iter().map(|p| p.metrics().get(metric)))
@@ -1257,6 +1286,12 @@ mod tests {
         assert_eq!(result.points[0].result, direct);
         assert!(result.points[0].normalized_time >= 0.99);
         assert_eq!(result.baseline_system, "Perfect-CC-NUMA");
+        let found = result
+            .point("ocean", &direct.system)
+            .expect("point by name");
+        assert_eq!(found.result, direct);
+        assert!(result.point("ocean", "nope").is_none());
+        assert!(result.point("lu", &direct.system).is_none());
     }
 
     #[test]
@@ -1510,6 +1545,80 @@ mod tests {
             assert_eq!(fingerprint, cold_fingerprint(&cold, point, index));
         }
         assert_same_results(&cold, &warm);
+    }
+
+    #[test]
+    fn runs_on_custom_traces() {
+        use mem_trace::{GlobalAddr, ProcId, TraceBuilder};
+        let mut b = TraceBuilder::new("custom", Topology::PAPER);
+        b.write(ProcId(0), GlobalAddr(0));
+        b.barrier_all();
+        for _ in 0..100 {
+            b.read(ProcId(4), GlobalAddr(0));
+        }
+        let result = Sweep::new("custom-trace smoke test")
+            .system(System::cc_numa().build())
+            .traces(vec![b.build()])
+            .threads(2)
+            .run();
+        assert_eq!(result.axis_values(Axis::Workload), vec!["custom"]);
+        assert!(result.points[0].normalized_time >= 0.99);
+    }
+
+    #[test]
+    fn results_do_not_depend_on_the_thread_count() {
+        // One baseline and one point: 64 threads asks for 62 more workers
+        // than there are jobs, which the pool must cap, not spawn.
+        let sweep = |threads| {
+            Sweep::new("determinism")
+                .system(
+                    System::r_numa()
+                        .with(Thresholds {
+                            rnuma_threshold: 8,
+                            ..Thresholds::paper_fast()
+                        })
+                        .build(),
+                )
+                .workloads(["ocean"])
+                .threads(threads)
+                .run()
+        };
+        let (a, b) = (sweep(1), sweep(64));
+        assert_eq!(a.baselines[0].result, b.baselines[0].result);
+        assert_eq!(a.points[0].result, b.points[0].result);
+    }
+
+    #[test]
+    fn named_prebuilt_and_replayed_ocean_agree() {
+        // The named path streams each job; the same workload as a
+        // pre-built trace and as a recorded file must give bit-identical
+        // results.
+        let cfg = WorkloadConfig::reduced();
+        let path = std::env::temp_dir().join("dsm-repro-sweep-replay.trc");
+        let mut stream = splash_workloads::fused(by_name("ocean").unwrap().as_ref(), &cfg);
+        mem_trace::record_to_file(&mut stream, &path).unwrap();
+        let sweep = || {
+            Sweep::new("ocean parity")
+                .system(System::cc_numa().build())
+                .threads(2)
+        };
+        let named = sweep().workloads(["ocean"]).run();
+        let prebuilt = sweep()
+            .traces(vec![by_name("ocean").unwrap().generate(&cfg)])
+            .run();
+        let replayed = sweep().replay(&path).run();
+        std::fs::remove_file(&path).ok();
+        for other in [&prebuilt, &replayed] {
+            assert_eq!(other.axis_values(Axis::Workload), vec!["ocean"]);
+            assert_eq!(other.baselines[0].result, named.baselines[0].result);
+            assert_eq!(other.points[0].result, named.points[0].result);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown workload linpack")]
+    fn unknown_workloads_are_rejected_up_front() {
+        let _ = Sweep::new("unknown").workloads(["linpack"]);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 
 use dsm_bench::{Axis, ExperimentScale, Metric};
 use dsm_core::{CostModel, MigRep, PageCaching, System, SystemConfig};
-use splash_workloads::CustomScale;
 
 /// Every system name the protocol accepts, for error messages and docs.
 pub const SYSTEM_NAMES: [&str; 10] = [
@@ -95,25 +94,11 @@ pub fn cost_by_name(name: &str) -> Result<CostModel, String> {
 }
 
 /// Parse a scale label: `"reduced"`, `"paper"`, `"xN"`, or `"xN/D"` — the
-/// same labels [`ExperimentScale::label`] renders.
+/// same labels [`ExperimentScale::label`] renders (see
+/// [`ExperimentScale::parse`]).
 pub fn parse_scale(label: &str) -> Result<ExperimentScale, String> {
-    match label {
-        "reduced" => return Ok(ExperimentScale::Reduced),
-        "paper" => return Ok(ExperimentScale::Paper),
-        _ => {}
-    }
-    let bad = || format!("unknown scale `{label}` (expected reduced, paper, xN or xN/D)");
-    let rest = label.strip_prefix('x').ok_or_else(bad)?;
-    let (numer, denom) = match rest.split_once('/') {
-        Some((n, d)) => (n, d),
-        None => (rest, "1"),
-    };
-    let numer: u32 = numer.parse().map_err(|_| bad())?;
-    let denom: u32 = denom.parse().map_err(|_| bad())?;
-    if numer == 0 || denom == 0 {
-        return Err(bad());
-    }
-    Ok(ExperimentScale::Custom(CustomScale::new(numer, denom)))
+    ExperimentScale::parse(label)
+        .ok_or_else(|| format!("unknown scale `{label}` (expected reduced, paper, xN or xN/D)"))
 }
 
 /// Resolve an axis name (the CSV column names of [`Axis::name`]).
@@ -155,6 +140,7 @@ pub fn metric_by_name(name: &str) -> Result<Metric, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use splash_workloads::CustomScale;
 
     #[test]
     fn every_advertised_system_resolves_at_every_scale() {
@@ -218,24 +204,6 @@ mod tests {
             CostModel::base().with_remote_latency_factor(4)
         );
         assert!(cost_by_name("fast").is_err());
-    }
-
-    #[test]
-    fn scales_parse_their_own_labels() {
-        for scale in [
-            ExperimentScale::Reduced,
-            ExperimentScale::Paper,
-            ExperimentScale::Custom(CustomScale::new(3, 1)),
-            ExperimentScale::Custom(CustomScale::new(1, 32)),
-        ] {
-            assert_eq!(parse_scale(&scale.label()).unwrap(), scale);
-        }
-        for bad in ["", "x", "x0", "x1/0", "huge", "x1/2/3", "x-1"] {
-            assert!(parse_scale(bad).is_err(), "`{bad}` should not parse");
-        }
-        // The committed above-x1 preset resolves to the same scale the
-        // experiment binaries reach via `--custom 4`.
-        assert_eq!(parse_scale("x4").unwrap(), ExperimentScale::X4);
     }
 
     #[test]

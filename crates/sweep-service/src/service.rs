@@ -20,9 +20,8 @@ use crate::proto::{
     cache_stats_line, error_line, event_line, ok_line, report_line, sweep_done_line, trend_line,
     Request, SweepCounts, SweepSpec,
 };
-use dsm_bench::report::{format_sweep_points, format_sweep_table, sweep_to_csv};
-use dsm_bench::runner::default_threads;
-use dsm_bench::{json, perf, ExperimentScale, Sweep, SweepEvent, SweepResult};
+use dsm_bench::sweep::default_threads;
+use dsm_bench::{json, perf, report, ExperimentScale, Sweep, SweepEvent, SweepResult};
 use dsm_core::{MachineConfig, SystemConfig};
 
 /// What the connection loop should do after a request.
@@ -115,9 +114,9 @@ impl SweepService {
                     let (result, _, _) = self.run_sweep(&id, &spec, emit)?;
                     Ok(report_line(
                         &id,
-                        &format_sweep_table(&result, rows, cols, metric),
-                        &format_sweep_points(&result),
-                        &sweep_to_csv(&result),
+                        &report::format_sweep_table(&result, rows, cols, metric),
+                        &report::format_sweep_points(&result),
+                        &report::sweep_to_csv(&result),
                     ))
                 };
                 match run() {

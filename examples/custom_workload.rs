@@ -68,21 +68,22 @@ fn main() {
             System::r_numa().with(thresholds).build(),
         ],
     };
-    let result = Experiment::new(machine)
-        .systems(set)
+    let result = Sweep::new(set.experiment)
+        .machine(machine)
+        .system_set(set)
         .traces(vec![trace])
         .run();
 
-    let wl = &result.per_workload[0];
     println!(
         "{:<12} {:>10} {:>14} {:>12} {:>12}",
         "system", "vs perfect", "remote misses", "migrations", "relocations"
     );
-    for (i, r) in wl.results.iter().enumerate() {
+    for p in &result.points {
+        let r = &p.result;
         println!(
             "{:<12} {:>10.2} {:>14} {:>12} {:>12}",
             r.system,
-            wl.normalized(i),
+            p.normalized_time,
             r.total_remote_misses(),
             r.per_node.iter().map(|n| n.migrations).sum::<u64>(),
             r.per_node.iter().map(|n| n.relocations).sum::<u64>(),

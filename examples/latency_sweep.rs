@@ -37,18 +37,19 @@ fn main() {
                 System::r_numa().with(costs).build(),
             ],
         };
-        let result = Experiment::new(machine)
-            .systems(set)
+        let result = Sweep::new(set.experiment)
+            .machine(machine)
+            .system_set(set)
             .traces(vec![trace.clone()])
             .run();
-        let wl = &result.per_workload[0];
+        let normalized = |i: usize| result.points[i].normalized_time;
         println!(
             "{:>18} {:>14.1} {:>10.2} {:>10.2} {:>10.2}",
             format!("{factor}x"),
             costs.remote_to_local_ratio(),
-            wl.normalized(0),
-            wl.normalized(1),
-            wl.normalized(2),
+            normalized(0),
+            normalized(1),
+            normalized(2),
         );
     }
 }

@@ -18,8 +18,8 @@ fn main() {
     let machine = MachineConfig::PAPER;
     let sizes_kb = [64u64, 256, 512, 1024, 2400, 4800];
 
-    // One experiment: CC-NUMA for reference, then every page-cache size.
-    // The whole sweep runs in parallel across worker threads.
+    // One sweep: CC-NUMA for reference, then every page-cache size.  Its
+    // jobs run in parallel across worker threads.
     let mut systems = vec![System::cc_numa().build()];
     systems.extend(sizes_kb.iter().map(|kb| {
         System::r_numa()
@@ -29,37 +29,38 @@ fn main() {
     }));
     systems.push(System::r_numa().with(PageCaching::infinite()).build());
 
-    let result = Experiment::new(machine)
-        .systems(SystemSet {
-            experiment: "page-cache sizing",
-            baseline: System::perfect_cc_numa().build(),
-            systems,
-        })
+    // Normalized against the sweep's default baseline, perfect CC-NUMA.
+    let result = systems
+        .into_iter()
+        .fold(
+            Sweep::new("page-cache sizing").machine(machine),
+            Sweep::system,
+        )
         .workloads(["radix"])
         .run();
 
-    let wl = &result.per_workload[0];
+    let reference = &result.points[0];
     println!(
         "radix on CC-NUMA: {:.2}x perfect CC-NUMA ({} remote misses)\n",
-        wl.normalized(0),
-        wl.results[0].total_remote_misses()
+        reference.normalized_time,
+        reference.result.total_remote_misses()
     );
 
     println!(
         "{:>14} {:>12} {:>14} {:>14} {:>12}",
         "page cache", "vs perfect", "remote misses", "relocations", "replacements"
     );
-    for (i, label) in sizes_kb
+    let labels = sizes_kb
         .iter()
         .map(|kb| format!("{kb} KB"))
-        .chain(["infinite".to_string()])
-        .enumerate()
-    {
-        let r = &wl.results[i + 1]; // skip the CC-NUMA reference column
+        .chain(["infinite".to_string()]);
+    // Skip the CC-NUMA reference point.
+    for (label, p) in labels.zip(&result.points[1..]) {
+        let r = &p.result;
         println!(
             "{:>14} {:>12.2} {:>14} {:>14} {:>12}",
             label,
-            wl.normalized(i + 1),
+            p.normalized_time,
             r.total_remote_misses(),
             r.total_page_operations(),
             r.total_page_cache_replacements()

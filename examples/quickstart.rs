@@ -37,32 +37,33 @@ fn main() {
         ],
     };
 
-    // 3. Run every (workload, system) pair through the experiment harness.
-    let result = Experiment::new(MachineConfig::PAPER)
-        .systems(set)
+    // 3. Run every (workload, system) pair as a one-point sweep.
+    let result = Sweep::new(set.experiment)
+        .system_set(set)
         .traces(vec![trace])
         .run();
 
     // 4. Report.
-    let wl = &result.per_workload[0];
+    let baseline = &result.baselines[0].result;
     println!(
         "\n{:<12} {:>12} {:>10} {:>14} {:>10}",
         "system", "exec cycles", "vs perfect", "remote misses", "page ops"
     );
     println!(
         "{:<12} {:>12} {:>10.2} {:>14} {:>10}",
-        wl.baseline.system,
-        wl.baseline.execution_time.raw(),
+        baseline.system,
+        baseline.execution_time.raw(),
         1.0,
-        wl.baseline.total_remote_misses(),
-        wl.baseline.total_page_operations()
+        baseline.total_remote_misses(),
+        baseline.total_page_operations()
     );
-    for (i, r) in wl.results.iter().enumerate() {
+    for p in &result.points {
+        let r = &p.result;
         println!(
             "{:<12} {:>12} {:>10.2} {:>14} {:>10}",
             r.system,
             r.execution_time.raw(),
-            wl.normalized(i),
+            p.normalized_time,
             r.total_remote_misses(),
             r.total_page_operations()
         );

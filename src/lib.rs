@@ -19,8 +19,8 @@
 //!   they implement, the [`System`](core::System) builder that composes
 //!   them, and the cluster simulator;
 //! * [`workloads`] — the seven SPLASH-2-like workload generators (Table 2);
-//! * [`mod@bench`] — the [`Sweep`](bench::Sweep) parameter grids, the
-//!   [`Experiment`](bench::Experiment) harness and the presets/report
+//! * [`mod@bench`] — the [`Sweep`](bench::Sweep) harness (every figure and
+//!   table is a one-point sweep over a preset) and the presets/report
 //!   formatters behind every figure and table;
 //! * [`service`] — the long-running sweep server (`serve` binary): a
 //!   JSON-lines protocol over stdio/Unix sockets backed by a
@@ -39,9 +39,7 @@ pub use sweep_service as service;
 
 /// Convenience re-exports of the types most programs need.
 pub mod prelude {
-    pub use dsm_bench::{
-        Axis, Experiment, ExperimentScale, Metric, MetricSet, Sweep, SweepResult, SystemSet,
-    };
+    pub use dsm_bench::{Axis, ExperimentScale, Metric, MetricSet, Sweep, SweepResult, SystemSet};
     pub use dsm_core::{
         BlockCaching, ClusterSimulator, CostModel, MachineConfig, MigRep, MigRepConfig,
         PageCaching, PageOp, PolicyStats, RelocationPolicy, SimResult, System, SystemBuilder,

@@ -5,9 +5,9 @@
 //! behaviour now is a committed table of [`SimResult::fingerprint`]s
 //! (`tests/golden/api_parity.txt`), generated from the pre-redesign
 //! simulator.  Every configuration surface — direct `ClusterSimulator`
-//! runs, streamed sources, the `Experiment` builder and the `Sweep`
-//! parameter grid — must keep reproducing those fingerprints bit-for-bit
-//! on the paper machine's ≤64-node points.
+//! runs, streamed sources, the one-point sweeps the figure binaries run
+//! and the `Sweep` parameter grid — must keep reproducing those
+//! fingerprints bit-for-bit on the paper machine's ≤64-node points.
 //!
 //! Regenerating the table (only when a *deliberate* behaviour change is
 //! being made): `GOLDEN_REGEN=1 cargo test --test api_parity -- --ignored
@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use dsm_repro::bench::{Experiment, ExperimentScale, Sweep, SystemSet};
+use dsm_repro::bench::{ExperimentScale, Sweep, SystemSet};
 use dsm_repro::prelude::*;
 
 const GOLDEN: &str = include_str!("golden/api_parity.txt");
@@ -140,8 +140,9 @@ fn simulator_matches_committed_golden_fingerprints() {
     );
 }
 
-/// The `Experiment` path (now a thin single-point sweep) reproduces the same
-/// fingerprints: scheduling, streaming and the sweep plumbing add nothing.
+/// A figure experiment — a one-point sweep over a `SystemSet`, as the
+/// figure binaries run it — reproduces the same fingerprints: scheduling,
+/// streaming and the sweep plumbing add nothing.
 #[test]
 fn experiment_builder_matches_the_goldens() {
     let golden = parse_golden();
@@ -151,36 +152,43 @@ fn experiment_builder_matches_the_goldens() {
         baseline: systems[0].1.clone(), // perfect CC-NUMA
         systems: systems[1..].iter().map(|(_, s)| s.clone()).collect(),
     };
-    let result = Experiment::new(MachineConfig::PAPER)
-        .systems(set)
+    let result = Sweep::new(set.experiment)
+        .system_set(set)
         .workloads(["lu", "ocean", "radix"])
         .scale(ExperimentScale::Reduced)
         .threads(4)
         .run();
-    for w in &result.per_workload {
-        let check = |system_key: &str, r: &SimResult| {
-            let expected = golden
-                .get(&(w.workload.clone(), system_key.to_string()))
-                .unwrap_or_else(|| panic!("no golden for {}/{system_key}", w.workload));
-            assert_eq!(
-                r.fingerprint(),
-                *expected,
-                "Experiment diverged from the golden for {}/{system_key}",
-                w.workload
-            );
-        };
-        check("perfect", &w.baseline);
-        for ((key, _), r) in systems[1..].iter().zip(&w.results) {
-            check(key, r);
-        }
+    let names: BTreeMap<&str, &str> = systems
+        .iter()
+        .map(|(key, s)| (s.name.as_str(), *key))
+        .collect();
+    let baselines = result.baselines.iter().map(|b| (&b.axes, &b.result));
+    let points = result.points.iter().map(|p| (&p.axes, &p.result));
+    let mut checked = 0;
+    for (axes, r) in baselines.chain(points) {
+        let key = names[axes.system.as_str()];
+        let expected = golden
+            .get(&(axes.workload.clone(), key.to_string()))
+            .unwrap_or_else(|| panic!("no golden for {}/{key}", axes.workload));
+        assert_eq!(
+            r.fingerprint(),
+            *expected,
+            "the one-point sweep diverged from the golden for {}/{key}",
+            axes.workload
+        );
+        checked += 1;
     }
+    assert_eq!(
+        checked,
+        3 * systems.len(),
+        "lu, ocean and radix x 5 systems"
+    );
 }
 
 /// The acceptance check of the sweep redesign: a `Sweep` over three machine
 /// axes (page size x block size x cluster nodes, including a >64-node
 /// point) runs deterministically, and its ≤64-node default-geometry points
-/// are bit-identical to the pre-redesign `Experiment` path (the committed
-/// goldens).
+/// are bit-identical to the committed goldens.
 #[test]
 fn sweep_default_geometry_points_match_the_goldens_and_sweeps_are_deterministic() {
     let golden = parse_golden();
@@ -211,7 +219,7 @@ fn sweep_default_geometry_points_match_the_goldens_and_sweeps_are_deterministic(
         assert_eq!(pa.baseline_time, pb.baseline_time);
     }
     // The paper-machine point (8 nodes, 4096-byte pages, 64-byte blocks) is
-    // exactly the pre-redesign Experiment job: it must hit the golden.
+    // exactly a golden job: it must hit the golden.
     let paper_point = a
         .points
         .iter()

@@ -320,10 +320,10 @@ fn no_unjustified_panic_is_reachable_from_the_service_loop() {
 }
 
 /// The panic-path rule covers what the service loop actually runs: the
-/// request parser it reaches through `json::parse` and the trend reader it
-/// reaches through `perf::collect_trend`, both in another crate.  And the
-/// bare `parse(..)` a request parser might call is never mistaken for a
-/// call to itself.
+/// request parser it reaches through `json::parse`, the trend reader it
+/// reaches through `perf::collect_trend` and the `report` renderers behind
+/// a `report` request, all in another crate.  And the bare `parse(..)` a
+/// request parser might call is never mistaken for a call to itself.
 #[test]
 fn the_service_loop_reaches_the_request_parser_and_the_trend_reader() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -346,9 +346,15 @@ fn the_service_loop_reaches_the_request_parser_and_the_trend_reader() {
         .map(|f| f.qname.as_str())
         .collect();
     assert!(parser_methods.len() >= 8, "{parser_methods:?}");
-    for qname in ["bench::json::parse", "bench::perf::collect_trend"]
-        .into_iter()
-        .chain(parser_methods)
+    for qname in [
+        "bench::json::parse",
+        "bench::perf::collect_trend",
+        "bench::report::format_sweep_table",
+        "bench::report::format_sweep_points",
+        "bench::report::sweep_to_csv",
+    ]
+    .into_iter()
+    .chain(parser_methods)
     {
         assert!(
             hops[find(qname)].is_some(),

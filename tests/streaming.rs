@@ -1,10 +1,10 @@
 //! Streaming trace pipeline integration: incremental statistics, the
-//! record/replay format end-to-end through the simulator and the experiment
+//! record/replay format end-to-end through the simulator and the sweep
 //! harness, fused/materialized fingerprint parity, the per-processor
 //! staging bound of fused sources, the replay window cap, and the fallible
 //! `try_run` surface.
 
-use dsm_repro::bench::{Experiment, SystemSet};
+use dsm_repro::bench::Sweep;
 use dsm_repro::prelude::*;
 
 /// Satellite requirement: incremental `TraceStats` accumulated while a
@@ -195,7 +195,7 @@ fn workload_streams_survive_adversarial_pull_orders_within_the_window() {
 }
 
 /// Record a workload to a trace file, replay it through the simulator and
-/// the experiment harness: every result must be bit-identical to the
+/// the sweep harness: every result must be bit-identical to the
 /// generated workload's.
 #[test]
 fn recorded_traces_replay_bit_identically() {
@@ -216,28 +216,15 @@ fn recorded_traces_replay_bit_identically() {
     let replayed = sim.run_source(&mut replay);
     assert_eq!(direct, replayed, "replayed SimResult diverged");
 
-    // And through the experiment harness (fresh stream per job).
-    let set = || SystemSet {
-        experiment: "replay",
-        baseline: System::perfect_cc_numa().build(),
-        systems: vec![System::cc_numa().build()],
-    };
-    let from_file = Experiment::new(MachineConfig::PAPER)
-        .systems(set())
-        .replay(&path)
-        .run();
-    let from_generator = Experiment::new(MachineConfig::PAPER)
-        .systems(set())
-        .workloads(["ocean"])
-        .run();
+    // And through the sweep harness (fresh stream per job).
+    let sweep = || Sweep::new("replay").system(System::cc_numa().build());
+    let from_file = sweep().replay(&path).run();
+    let from_generator = sweep().workloads(["ocean"]).run();
     assert_eq!(
-        from_file.per_workload[0].baseline,
-        from_generator.per_workload[0].baseline
+        from_file.baselines[0].result,
+        from_generator.baselines[0].result
     );
-    assert_eq!(
-        from_file.per_workload[0].results,
-        from_generator.per_workload[0].results
-    );
+    assert_eq!(from_file.points[0].result, from_generator.points[0].result);
     std::fs::remove_file(&path).ok();
 }
 
