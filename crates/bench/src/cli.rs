@@ -93,17 +93,6 @@ pub struct Options {
     pub replay: Option<PathBuf>,
 }
 
-/// Parse a `--custom` value, `"N"` or `"N/D"`: the `xN`/`xN/D` scale
-/// label without its `x`.
-fn parse_custom_scale(v: &str) -> Result<ExperimentScale, CliError> {
-    match ExperimentScale::parse(&format!("x{v}")) {
-        Some(scale @ ExperimentScale::Custom(_)) => Ok(scale),
-        _ => Err(CliError::BadValue(format!(
-            "bad value `{v}` for `--custom` (want N or N/D)"
-        ))),
-    }
-}
-
 impl Options {
     /// Parse from an iterator of arguments (excluding the program name).
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Options, CliError> {
@@ -133,8 +122,14 @@ impl Options {
             match arg.as_str() {
                 "--paper" => opts.scale = ExperimentScale::Paper,
                 "--custom" => {
+                    // `N` or `N/D`: a custom scale's `xN`/`xN/D` label
+                    // without its `x`.
                     let v = value_of(&mut iter, "--custom")?;
-                    opts.scale = parse_custom_scale(&v)?;
+                    opts.scale = ExperimentScale::parse(&format!("x{v}")).ok_or_else(|| {
+                        CliError::BadValue(format!(
+                            "bad value `{v}` for `--custom` (want N or N/D)"
+                        ))
+                    })?;
                 }
                 "--csv" => opts.csv = true,
                 "--threads" => {

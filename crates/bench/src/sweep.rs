@@ -1567,8 +1567,8 @@ mod tests {
 
     #[test]
     fn results_do_not_depend_on_the_thread_count() {
-        // One baseline and one point: 64 threads asks for 62 more workers
-        // than there are jobs, which the pool must cap, not spawn.
+        // One baseline and one point: 64 threads must still work, the pool
+        // being capped at the job count.
         let sweep = |threads| {
             Sweep::new("determinism")
                 .system(

@@ -4,7 +4,6 @@
 //! staging bound of fused sources, the replay window cap, and the fallible
 //! `try_run` surface.
 
-use dsm_repro::bench::Sweep;
 use dsm_repro::prelude::*;
 
 /// Satellite requirement: incremental `TraceStats` accumulated while a
