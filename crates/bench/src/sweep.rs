@@ -1457,6 +1457,10 @@ mod tests {
     }
 
     fn assert_same_results(cold: &SweepResult, warm: &SweepResult) {
+        assert_eq!(
+            (cold.baselines.len(), cold.points.len()),
+            (warm.baselines.len(), warm.points.len())
+        );
         for (c, w) in cold.baselines.iter().zip(&warm.baselines) {
             assert_eq!((c.cache_key, &c.result), (w.cache_key, &w.result));
         }
@@ -1567,10 +1571,9 @@ mod tests {
 
     #[test]
     fn results_do_not_depend_on_the_thread_count() {
-        // One baseline and one point: 64 threads must still work, the pool
-        // being capped at the job count.
         let sweep = |threads| {
             Sweep::new("determinism")
+                .system(System::cc_numa().build())
                 .system(
                     System::r_numa()
                         .with(Thresholds {
@@ -1583,36 +1586,54 @@ mod tests {
                 .threads(threads)
                 .run()
         };
-        let (a, b) = (sweep(1), sweep(64));
-        assert_eq!(a.baselines[0].result, b.baselines[0].result);
-        assert_eq!(a.points[0].result, b.points[0].result);
+        let (a, b) = (sweep(1), sweep(8));
+        assert_same_results(&a, &b);
     }
 
     #[test]
-    fn named_prebuilt_and_replayed_ocean_agree() {
-        // The named path streams each job; the same workload as a
-        // pre-built trace and as a recorded file must give bit-identical
-        // results.
+    fn thread_count_is_capped_at_the_job_count() {
+        // One baseline and one point: asking for 64 threads must still
+        // work, the pool being capped at the job count.
+        let result = Sweep::new("cap")
+            .system(System::cc_numa().build())
+            .workloads(["ocean"])
+            .threads(64)
+            .run();
+        assert_eq!(result.axis_values(Axis::Workload), vec!["ocean"]);
+        assert_eq!((result.baselines.len(), result.points.len()), (1, 1));
+    }
+
+    /// One cc-NUMA sweep on ocean, to be given its workload.
+    fn ocean_parity_sweep() -> Sweep {
+        Sweep::new("ocean parity")
+            .system(System::cc_numa().build())
+            .threads(2)
+    }
+
+    #[test]
+    fn streamed_named_workloads_match_materialized_traces() {
+        // The named path streams each job; feeding the same workload as a
+        // pre-built trace must give bit-identical results.
+        let streamed = ocean_parity_sweep().workloads(["ocean"]).run();
+        let trace = by_name("ocean")
+            .unwrap()
+            .generate(&WorkloadConfig::reduced());
+        let materialized = ocean_parity_sweep().traces(vec![trace]).run();
+        assert_eq!(materialized.axis_values(Axis::Workload), vec!["ocean"]);
+        assert_same_results(&streamed, &materialized);
+    }
+
+    #[test]
+    fn replayed_trace_file_matches_the_generated_workload() {
         let cfg = WorkloadConfig::reduced();
         let path = std::env::temp_dir().join("dsm-repro-sweep-replay.trc");
         let mut stream = splash_workloads::fused(by_name("ocean").unwrap().as_ref(), &cfg);
         mem_trace::record_to_file(&mut stream, &path).unwrap();
-        let sweep = || {
-            Sweep::new("ocean parity")
-                .system(System::cc_numa().build())
-                .threads(2)
-        };
-        let named = sweep().workloads(["ocean"]).run();
-        let prebuilt = sweep()
-            .traces(vec![by_name("ocean").unwrap().generate(&cfg)])
-            .run();
-        let replayed = sweep().replay(&path).run();
+        let replayed = ocean_parity_sweep().replay(&path).run();
         std::fs::remove_file(&path).ok();
-        for other in [&prebuilt, &replayed] {
-            assert_eq!(other.axis_values(Axis::Workload), vec!["ocean"]);
-            assert_eq!(other.baselines[0].result, named.baselines[0].result);
-            assert_eq!(other.points[0].result, named.points[0].result);
-        }
+        let generated = ocean_parity_sweep().workloads(["ocean"]).run();
+        assert_eq!(replayed.axis_values(Axis::Workload), vec!["ocean"]);
+        assert_same_results(&replayed, &generated);
     }
 
     #[test]
