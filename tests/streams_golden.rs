@@ -9,10 +9,11 @@
 //! uneven, and a 32x4 machine at a 1/4096 sliver where fmm's 64 boxes leave
 //! half the processors without a box of their own.
 //!
-//! Each case is checked through [`fused`] twice: pulled round-robin in
-//! bursts (the simulator's pattern), and drained one processor at a time in
-//! reverse order (the most adversarial order for a source that parks
-//! events).
+//! Each case is checked three times: through [`fused`] pulled round-robin
+//! in bursts (the simulator's pattern), through [`fused`] drained one
+//! processor at a time in reverse order (the most adversarial order for a
+//! source that parks events), and materialized by [`Workload::generate`]
+//! (the trace the regeneration below writes from).
 //!
 //! Regenerating (deliberate generator changes only):
 //! `GOLDEN_REGEN=1 cargo test --test streams_golden -- --ignored
@@ -146,10 +147,7 @@ fn regen_streams_golden() {
          # regen_streams_golden`; see tests/streams_golden.rs.\n",
     );
     each_case(|w, cfg, scale, topo| {
-        let trace = w.generate(cfg);
-        for (p, events) in trace.per_proc.iter().enumerate() {
-            let mut d = Digest::new();
-            events.iter().for_each(|ev| d.event(ev));
+        for (p, d) in materialized(w, cfg).iter().enumerate() {
             writeln!(
                 body,
                 "{} {} 0x{:016x}",
@@ -162,6 +160,19 @@ fn regen_streams_golden() {
     });
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/streams.txt");
     std::fs::write(path, body).expect("write golden file");
+}
+
+/// Per-processor digests of the materialized trace `generate` builds.
+fn materialized(w: &dyn Workload, cfg: &WorkloadConfig) -> Vec<Digest> {
+    w.generate(cfg)
+        .per_proc
+        .iter()
+        .map(|events| {
+            let mut d = Digest::new();
+            events.iter().for_each(|ev| d.event(ev));
+            d
+        })
+        .collect()
 }
 
 /// Compare one case's per-processor digests with the golden.
@@ -239,5 +250,14 @@ fn fused_streams_match_the_golden_drained_in_reverse() {
         }
         check(&golden, &got, w.name(), scale, topo);
         assert!(src.take_error().is_none());
+    });
+}
+
+/// The materialized trace: `generate`'s per-processor vectors.
+#[test]
+fn materialized_streams_match_the_golden() {
+    let golden = parse_golden();
+    each_case(|w, cfg, scale, topo| {
+        check(&golden, &materialized(w, cfg), w.name(), scale, topo);
     });
 }
