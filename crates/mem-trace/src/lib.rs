@@ -22,9 +22,9 @@
 //!   [`source::ProcGenerator`] inside the consumer's pull loop) and
 //!   file-replayed ([`replay::ReplaySource`]) implementations,
 //! * a seekless binary record/replay format ([`replay`]),
-//! * a shared-segment allocator ([`layout::AddressSpace`]) and a per-processor
-//!   [`builder::TraceBuilder`] / [`builder::TraceWriter`] that workloads use
-//!   to emit well-formed traces into any [`builder::EventSink`].
+//! * a shared-segment allocator ([`layout::AddressSpace`]) and a
+//!   [`builder::TraceBuilder`] that writes a well-formed trace by hand (a
+//!   custom workload, a test).
 
 pub mod access;
 pub mod addr;
@@ -41,7 +41,7 @@ pub use addr::{
     BlockId, DirectMap, Geometry, GlobalAddr, NodeId, PageId, ProcId, Topology, BLOCKS_PER_PAGE,
     BLOCK_SIZE, PAGE_SIZE,
 };
-pub use builder::{EventSink, TraceBuilder, TraceWriter};
+pub use builder::TraceBuilder;
 pub use intern::{BlockIdx, BlockRef, PageIdx, PageInterner, PageRef, Slab};
 pub use layout::{AddressSpace, Segment};
 pub use replay::{record, record_to_file, ReplaySource};

@@ -13,7 +13,7 @@ use crate::config::{Scale, WorkloadConfig};
 use crate::program::{Draws, Emit, ProcStreams, Program};
 use crate::util::owned_range;
 use crate::Workload;
-use mem_trace::{AddressSpace, EventSink, ProcGenerator, ProcId, Segment, Topology};
+use mem_trace::{AddressSpace, ProcGenerator, ProcId, Segment, Topology};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -230,10 +230,6 @@ impl Workload for Barnes {
 
     fn reduced_input(&self) -> &'static str {
         "2K particles"
-    }
-
-    fn emit(&self, cfg: &WorkloadConfig, sink: &mut dyn EventSink) {
-        crate::emit_streams(self.generator(cfg), cfg, sink);
     }
 
     fn generator(&self, cfg: &WorkloadConfig) -> Box<dyn ProcGenerator> {

@@ -18,7 +18,7 @@
 use crate::config::{Scale, WorkloadConfig};
 use crate::program::{Draws, Emit, ProcStreams, Program};
 use crate::Workload;
-use mem_trace::{AddressSpace, EventSink, ProcGenerator, ProcId, Segment};
+use mem_trace::{AddressSpace, ProcGenerator, ProcId, Segment};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -216,10 +216,6 @@ impl Workload for Cholesky {
 
     fn reduced_input(&self) -> &'static str {
         "synthetic tk16-like matrix, 384 supernodes"
-    }
-
-    fn emit(&self, cfg: &WorkloadConfig, sink: &mut dyn EventSink) {
-        crate::emit_streams(self.generator(cfg), cfg, sink);
     }
 
     fn generator(&self, cfg: &WorkloadConfig) -> Box<dyn ProcGenerator> {

@@ -50,19 +50,17 @@ mod util;
 pub use config::{CustomScale, Scale, WorkloadConfig};
 pub use program::FILL_EVENTS;
 
-use mem_trace::{EventSink, FusedSource, ProcGenerator, ProgramTrace, TraceEvent};
+use mem_trace::{FusedSource, ProcGenerator, ProgramTrace};
 
 /// A workload that can generate a shared-memory reference trace.
 ///
 /// Generators are *per-processor producers*: [`Workload::generator`]
 /// returns a [`ProcGenerator`] that appends any processor's next events on
-/// demand.  [`Workload::emit`] is required (for the Table 2 generators it
-/// is one line: [`emit_streams`] over their generator); the default
-/// `generator` falls back to materializing `emit`'s output and serving it a
-/// slice at a time, so a straight-line custom workload only implements
-/// `emit` and still works through every pipeline.  All deliveries of a
-/// trace drive the same emission code, so they are bit-identical by
-/// construction.
+/// demand.  Both deliveries of a trace — materialized by
+/// [`Workload::generate`] and fused by [`fused`] — drain that generator,
+/// so they are bit-identical by construction.  A trace written by hand
+/// needs no workload: build it with [`mem_trace::TraceBuilder`] and
+/// simulate it as a materialized trace.
 pub trait Workload: Send + Sync {
     /// Table 2 name (lowercase).
     fn name(&self) -> &'static str;
@@ -72,45 +70,22 @@ pub trait Workload: Send + Sync {
     fn paper_input(&self) -> &'static str;
     /// The reduced input parameters used by default in this reproduction.
     fn reduced_input(&self) -> &'static str;
-    /// Emit the trace into `sink`, each processor's events in its program
-    /// order (including the per-processor end-of-stream markers).
-    fn emit(&self, cfg: &WorkloadConfig, sink: &mut dyn EventSink);
     /// Build the per-processor generator for `cfg`.
-    ///
-    /// The default materializes [`Workload::emit`] up front and serves it a
-    /// slice at a time — correct for any workload, but the bounded-memory
-    /// property of the fused pipeline then only holds for traces that fit
-    /// in memory anyway.  The seven Table 2 generators all implement this
-    /// directly (and derive `emit` from it via [`emit_streams`]).
-    fn generator(&self, cfg: &WorkloadConfig) -> Box<dyn ProcGenerator> {
-        let mut per_proc: Vec<Vec<TraceEvent>> = vec![Vec::new(); cfg.topology.total_procs()];
-        self.emit(cfg, &mut per_proc);
-        Box::new(program::Materialized::new(per_proc))
-    }
-    /// Generate the whole trace in memory.
+    fn generator(&self, cfg: &WorkloadConfig) -> Box<dyn ProcGenerator>;
+    /// Generate the whole trace in memory: [`Workload::generator`] drained
+    /// processor by processor.
     fn generate(&self, cfg: &WorkloadConfig) -> ProgramTrace {
-        let mut per_proc: Vec<Vec<TraceEvent>> = vec![Vec::new(); cfg.topology.total_procs()];
-        self.emit(cfg, &mut per_proc);
+        let mut generator = self.generator(cfg);
+        let per_proc = cfg
+            .topology
+            .proc_ids()
+            .map(|proc| {
+                let mut events = Vec::new();
+                while generator.fill(proc, &mut events) > 0 {}
+                events
+            })
+            .collect();
         ProgramTrace::new(self.name(), cfg.topology, per_proc)
-    }
-}
-
-/// Drain `generator` into `sink` processor by processor, each stream
-/// followed by its end-of-stream marker — how the Table 2 generators
-/// implement [`Workload::emit`] in terms of their generator.
-pub fn emit_streams(
-    mut generator: Box<dyn ProcGenerator>,
-    cfg: &WorkloadConfig,
-    sink: &mut dyn EventSink,
-) {
-    let mut slice = Vec::with_capacity(FILL_EVENTS);
-    for proc in cfg.topology.proc_ids() {
-        while generator.fill(proc, &mut slice) > 0 {
-            for ev in slice.drain(..) {
-                sink.event(proc, ev);
-            }
-        }
-        sink.end_of_stream(proc);
     }
 }
 
@@ -259,48 +234,6 @@ mod tests {
             assert_eq!(src.buffered_events(), 0, "{} parked events", w.name());
             assert!(src.take_error().is_none());
         }
-    }
-
-    #[test]
-    fn default_stepper_fallback_replays_custom_workloads() {
-        // A workload that only implements `emit` still works through the
-        // fused pipeline via the default generator, which materializes it
-        // and serves it per processor.
-        use mem_trace::TraceSource;
-        struct EmitOnly;
-        impl Workload for EmitOnly {
-            fn name(&self) -> &'static str {
-                "emit-only"
-            }
-            fn description(&self) -> &'static str {
-                "fallback test"
-            }
-            fn paper_input(&self) -> &'static str {
-                "-"
-            }
-            fn reduced_input(&self) -> &'static str {
-                "-"
-            }
-            fn emit(&self, cfg: &WorkloadConfig, sink: &mut dyn EventSink) {
-                let mut w = mem_trace::TraceWriter::new(cfg.topology, sink);
-                for i in 0..1000u64 {
-                    w.write(ProcId((i % 4) as u16), mem_trace::GlobalAddr(i * 64));
-                }
-                w.barrier_all();
-                w.finish();
-            }
-        }
-        let cfg = WorkloadConfig::reduced_for_tests().with_topology(mem_trace::Topology::new(2, 2));
-        let trace = EmitOnly.generate(&cfg);
-        let mut src = fused(&EmitOnly, &cfg);
-        for p in (0..cfg.topology.total_procs() as u16).rev().map(ProcId) {
-            let mut got = Vec::new();
-            while let Some(ev) = src.next_event(p) {
-                got.push(ev);
-            }
-            assert_eq!(got, trace.per_proc[p.index()]);
-        }
-        assert_eq!(src.stats_so_far(), trace.stats());
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use crate::config::{Scale, WorkloadConfig};
 use crate::program::{Draws, Emit, ProcStreams, Program};
 use crate::Workload;
-use mem_trace::{AddressSpace, EventSink, ProcGenerator, ProcId, Segment, BLOCK_SIZE};
+use mem_trace::{AddressSpace, ProcGenerator, ProcId, Segment, BLOCK_SIZE};
 use rand::rngs::SmallRng;
 
 /// Blocked dense LU factorization.
@@ -233,10 +233,6 @@ impl Workload for Lu {
 
     fn reduced_input(&self) -> &'static str {
         "192x192 matrix, 16x16 blocks"
-    }
-
-    fn emit(&self, cfg: &WorkloadConfig, sink: &mut dyn EventSink) {
-        crate::emit_streams(self.generator(cfg), cfg, sink);
     }
 
     fn generator(&self, cfg: &WorkloadConfig) -> Box<dyn ProcGenerator> {

@@ -253,39 +253,3 @@ impl<P: Program> ProcGenerator for ProcStreams<P> {
         })
     }
 }
-
-/// The per-processor generator behind a workload that only implements
-/// [`crate::Workload::emit`]: the materialized trace, served a slice at a
-/// time.
-pub(crate) struct Materialized {
-    per_proc: std::sync::Arc<Vec<Vec<TraceEvent>>>,
-    pos: Vec<usize>,
-}
-
-impl Materialized {
-    pub(crate) fn new(per_proc: Vec<Vec<TraceEvent>>) -> Self {
-        Materialized {
-            pos: vec![0; per_proc.len()],
-            per_proc: std::sync::Arc::new(per_proc),
-        }
-    }
-}
-
-impl ProcGenerator for Materialized {
-    fn fill(&mut self, proc: ProcId, out: &mut Vec<TraceEvent>) -> usize {
-        let p = proc.index();
-        let events = &self.per_proc[p];
-        let start = self.pos[p];
-        let end = (start + FILL_EVENTS).min(events.len());
-        out.extend_from_slice(&events[start..end]);
-        self.pos[p] = end;
-        end - start
-    }
-
-    fn restart(&self) -> Box<dyn ProcGenerator> {
-        Box::new(Materialized {
-            per_proc: std::sync::Arc::clone(&self.per_proc),
-            pos: vec![0; self.per_proc.len()],
-        })
-    }
-}

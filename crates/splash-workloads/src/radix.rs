@@ -16,7 +16,7 @@ use crate::config::{Scale, WorkloadConfig};
 use crate::program::{Draws, Emit, ProcStreams, Program};
 use crate::util::owned_range;
 use crate::Workload;
-use mem_trace::{AddressSpace, EventSink, ProcGenerator, ProcId, Segment, Topology};
+use mem_trace::{AddressSpace, ProcGenerator, ProcId, Segment, Topology};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -221,10 +221,6 @@ impl Workload for Radix {
 
     fn reduced_input(&self) -> &'static str {
         "128K integers, radix 1024"
-    }
-
-    fn emit(&self, cfg: &WorkloadConfig, sink: &mut dyn EventSink) {
-        crate::emit_streams(self.generator(cfg), cfg, sink);
     }
 
     fn generator(&self, cfg: &WorkloadConfig) -> Box<dyn ProcGenerator> {

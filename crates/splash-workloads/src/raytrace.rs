@@ -15,7 +15,7 @@ use crate::config::{Scale, WorkloadConfig};
 use crate::program::{Draws, Emit, ProcStreams, Program};
 use crate::util::owned_range;
 use crate::Workload;
-use mem_trace::{AddressSpace, EventSink, ProcGenerator, ProcId, Segment, Topology};
+use mem_trace::{AddressSpace, ProcGenerator, ProcId, Segment, Topology};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -194,10 +194,6 @@ impl Workload for Raytrace {
 
     fn reduced_input(&self) -> &'static str {
         "car (reduced: 768 KB scene, 24K rays)"
-    }
-
-    fn emit(&self, cfg: &WorkloadConfig, sink: &mut dyn EventSink) {
-        crate::emit_streams(self.generator(cfg), cfg, sink);
     }
 
     fn generator(&self, cfg: &WorkloadConfig) -> Box<dyn ProcGenerator> {
