@@ -16,8 +16,6 @@ use mem_trace::{NodeId, PageIdx, Slab};
 pub struct PagePlacement {
     homes: Slab<Option<NodeId>>,
     placed: usize,
-    first_touches: u64,
-    migrations: u64,
 }
 
 impl PagePlacement {
@@ -47,7 +45,6 @@ impl PagePlacement {
             None => {
                 *slot = Some(node);
                 self.placed += 1;
-                self.first_touches += 1;
                 node
             }
         }
@@ -67,7 +64,6 @@ impl PagePlacement {
             .expect("migrating a page that was never placed");
         let old = *slot;
         *slot = new_home;
-        self.migrations += 1;
         old
     }
 
@@ -79,11 +75,6 @@ impl PagePlacement {
     /// Number of pages currently homed on `node`.
     pub fn pages_homed_on(&self, node: NodeId) -> usize {
         self.homes.iter().filter(|h| **h == Some(node)).count()
-    }
-
-    /// `(first touches, migrations)` performed so far.
-    pub fn counters(&self) -> (u64, u64) {
-        (self.first_touches, self.migrations)
     }
 
     /// Iterate over all placements.
@@ -106,7 +97,7 @@ mod tests {
         // Second toucher does not steal the page.
         assert_eq!(p.first_touch(PageIdx(1), NodeId(5)), NodeId(3));
         assert_eq!(p.home_of(PageIdx(1)), Some(NodeId(3)));
-        assert_eq!(p.counters(), (1, 0));
+        assert_eq!(p.pages_placed(), 1);
     }
 
     #[test]
@@ -116,7 +107,7 @@ mod tests {
         let old = p.migrate(PageIdx(2), NodeId(6));
         assert_eq!(old, NodeId(0));
         assert_eq!(p.home_of(PageIdx(2)), Some(NodeId(6)));
-        assert_eq!(p.counters(), (1, 1));
+        assert_eq!(p.pages_placed(), 1);
     }
 
     #[test]

@@ -76,9 +76,6 @@ pub struct BlockCache {
     config: BlockCacheConfig,
     geometry: Geometry,
     storage: Storage,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
 }
 
 impl BlockCache {
@@ -114,9 +111,6 @@ impl BlockCache {
             config,
             geometry,
             storage,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
         }
     }
 
@@ -146,15 +140,9 @@ impl BlockCache {
         }
     }
 
-    /// Look up `block`, recording a hit or miss.
+    /// Look up `block`: the same answer as [`BlockCache::state_of`].
     pub fn lookup(&mut self, block: BlockRef) -> Option<BlockState> {
-        let state = self.state_of(block);
-        if state.is_some() {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-        state
+        self.state_of(block)
     }
 
     /// Install `block`; returns the displaced victim `(block, state)` if the
@@ -164,10 +152,7 @@ impl BlockCache {
             Storage::Finite { map, tags, states } => {
                 let idx = map.line_of(block.id);
                 let victim = match tags[idx] {
-                    Some(old) if old != block => {
-                        self.evictions += 1;
-                        Some((old, states[idx]))
-                    }
+                    Some(old) if old != block => Some((old, states[idx])),
                     _ => None,
                 };
                 tags[idx] = Some(block);
@@ -272,11 +257,6 @@ impl BlockCache {
             Storage::Infinite { resident, .. } => *resident,
         }
     }
-
-    /// `(hits, misses, evictions)`.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (self.hits, self.misses, self.evictions)
-    }
 }
 
 #[cfg(test)]
@@ -306,7 +286,6 @@ mod tests {
         assert_eq!(c.lookup(b(1)), None);
         c.fill(b(1), BlockState::Clean);
         assert_eq!(c.lookup(b(1)), Some(BlockState::Clean));
-        assert_eq!(c.counters(), (1, 1, 0));
     }
 
     #[test]
@@ -317,7 +296,6 @@ mod tests {
         assert_eq!(victim, Some((b(1), BlockState::Dirty)));
         assert!(!c.contains(b(1)));
         assert!(c.contains(b(5)));
-        assert_eq!(c.counters().2, 1);
     }
 
     #[test]
@@ -347,7 +325,6 @@ mod tests {
         assert_eq!(c.resident(), 10_000);
         assert!(c.contains(b(0)));
         assert!(c.contains(b(9_999)));
-        assert_eq!(c.counters().2, 0);
         assert!(c.mark_dirty(b(17)));
         assert!(!c.mark_dirty(b(20_000)));
         assert_eq!(c.invalidate(b(17)), Some(BlockState::Dirty));

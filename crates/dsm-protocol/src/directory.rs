@@ -100,10 +100,6 @@ pub struct WriteReply {
 pub struct Directory {
     entries: Slab<DirectoryEntry>,
     geometry: Geometry,
-    read_requests: u64,
-    write_requests: u64,
-    invalidations_sent: u64,
-    forwards: u64,
 }
 
 impl Default for Directory {
@@ -124,10 +120,6 @@ impl Directory {
         Directory {
             entries: Slab::new(),
             geometry,
-            read_requests: 0,
-            write_requests: 0,
-            invalidations_sent: 0,
-            forwards: 0,
         }
     }
 
@@ -153,7 +145,6 @@ impl Directory {
 
     /// Handle a read request for `block` by `requester`.
     pub fn handle_read(&mut self, block: BlockIdx, requester: NodeId) -> ReadReply {
-        self.read_requests += 1;
         let entry = self.entries.entry(block.index());
         let already_sharer = entry.sharers.contains(requester.index());
         let reply = match entry.state {
@@ -172,7 +163,6 @@ impl Directory {
                         already_sharer: true,
                     }
                 } else {
-                    self.forwards += 1;
                     ReadReply {
                         source: DataSource::Owner(owner),
                         already_sharer,
@@ -189,7 +179,6 @@ impl Directory {
 
     /// Handle a write (read-exclusive) request for `block` by `requester`.
     pub fn handle_write(&mut self, block: BlockIdx, requester: NodeId) -> WriteReply {
-        self.write_requests += 1;
         let entry = self.entries.entry(block.index());
         let reply = match entry.state {
             DirectoryState::Uncached => WriteReply {
@@ -203,7 +192,6 @@ impl Directory {
                     .filter(|i| *i != requester.index())
                     .map(|i| NodeId(i as u16))
                     .collect();
-                self.invalidations_sent += others.len() as u64;
                 WriteReply {
                     source: DataSource::HomeMemory,
                     invalidate: others,
@@ -218,8 +206,6 @@ impl Directory {
                         invalidate: Vec::new(),
                     }
                 } else {
-                    self.forwards += 1;
-                    self.invalidations_sent += 1;
                     WriteReply {
                         source: DataSource::Owner(owner),
                         invalidate: vec![owner],
@@ -273,16 +259,6 @@ impl Directory {
             .iter()
             .filter(|e| e.state != DirectoryState::Uncached)
             .count()
-    }
-
-    /// `(read requests, write requests, invalidations sent, forwards)`.
-    pub fn counters(&self) -> (u64, u64, u64, u64) {
-        (
-            self.read_requests,
-            self.write_requests,
-            self.invalidations_sent,
-            self.forwards,
-        )
     }
 }
 
@@ -370,7 +346,6 @@ mod tests {
         let r = dir.handle_read(B, NodeId(4));
         assert_eq!(r.source, DataSource::HomeMemory);
         assert!(r.already_sharer);
-        assert_eq!(dir.counters().3, 0, "no forward should be counted");
     }
 
     #[test]
@@ -410,18 +385,6 @@ mod tests {
         assert_eq!(dir.entry(blocks[5]).state, DirectoryState::Uncached);
         assert_eq!(dir.entry(other).state, DirectoryState::Shared);
         assert_eq!(dir.tracked_blocks(), 1);
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let mut dir = Directory::new();
-        dir.handle_read(B, NodeId(0));
-        dir.handle_read(B, NodeId(1));
-        dir.handle_write(B, NodeId(2));
-        let (reads, writes, invals, _forwards) = dir.counters();
-        assert_eq!(reads, 2);
-        assert_eq!(writes, 1);
-        assert_eq!(invals, 2);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! base system uses 2.4 MB per node, 40x the block cache); the limit is what
 //! creates the replacement traffic studied in Figures 5-8.
 //!
-//! This module models the frames, fine-grain tags, LRU replacement and the
-//! occupancy counters.  The relocation *policy* (refetch counters and
-//! thresholds) lives in `dsm-core`.
+//! This module models the frames, fine-grain tags and LRU replacement.  The
+//! relocation *policy* (refetch counters and thresholds) lives in
+//! `dsm-core`.
 //!
 //! Frames are a dense slab over interned [`PageIdx`]es — the per-block
 //! lookup on the simulator's hot path is two array accesses and a bit test —
@@ -115,11 +115,6 @@ pub struct PageCache {
     /// Indices of currently allocated frames (the LRU scan set).
     allocated: Vec<u32>,
     clock: u64,
-    allocations: u64,
-    replacements: u64,
-    blocks_installed: u64,
-    block_hits: u64,
-    block_misses: u64,
 }
 
 impl PageCache {
@@ -146,11 +141,6 @@ impl PageCache {
             frames: Slab::new(),
             allocated: Vec::new(),
             clock: 0,
-            allocations: 0,
-            replacements: 0,
-            blocks_installed: 0,
-            block_hits: 0,
-            block_misses: 0,
         }
     }
 
@@ -233,7 +223,6 @@ impl PageCache {
                 let victim_blocks = frame.present.count();
                 let victim_dirty = frame.dirty.count();
                 *frame = Frame::default();
-                self.replacements += 1;
                 AllocOutcome::Replaced {
                     victim,
                     victim_blocks,
@@ -242,7 +231,6 @@ impl PageCache {
             }
             _ => AllocOutcome::Allocated,
         };
-        self.allocations += 1;
         self.allocated.push(page.idx.0);
         *self.frames.entry(page.idx.index()) = Frame {
             allocated: true,
@@ -273,7 +261,8 @@ impl PageCache {
         Some(counts)
     }
 
-    /// Look up `block`; records a hit or a (fine-grain) miss.  A miss means
+    /// Look up `block`: `true` if it is present.  A lookup of a page with a
+    /// frame marks that page most recently used.  A (fine-grain) miss means
     /// the enclosing page has a frame but this block has not been fetched
     /// yet, or the page has no frame at all.
     #[inline]
@@ -281,19 +270,13 @@ impl PageCache {
         self.clock += 1;
         let page = self.page_of(block).index();
         let offset = self.offset_of(block);
-        let hit = match self.frames.get_mut(page) {
+        match self.frames.get_mut(page) {
             Some(frame) if frame.allocated => {
                 frame.last_use = self.clock;
                 frame.present.contains(offset)
             }
             _ => false,
-        };
-        if hit {
-            self.block_hits += 1;
-        } else {
-            self.block_misses += 1;
         }
-        hit
     }
 
     /// Install a fetched block into its page's frame.  Returns `false` (and
@@ -307,7 +290,6 @@ impl PageCache {
                 if dirty {
                     frame.dirty.insert(offset);
                 }
-                self.blocks_installed += 1;
                 true
             }
             _ => false,
@@ -359,17 +341,6 @@ impl PageCache {
             .get(page.index())
             .filter(|f| f.allocated)
             .map(|f| 1.0 - f.present.count() as f64 / self.geometry.blocks_per_page() as f64)
-    }
-
-    /// `(allocations, replacements, blocks installed, block hits, block misses)`.
-    pub fn counters(&self) -> (u64, u64, u64, u64, u64) {
-        (
-            self.allocations,
-            self.replacements,
-            self.blocks_installed,
-            self.block_hits,
-            self.block_misses,
-        )
     }
 }
 
@@ -429,7 +400,6 @@ mod tests {
         assert!(pc.contains_page(p(1).idx));
         assert!(pc.contains_page(p(3).idx));
         assert!(!pc.contains_page(p(2).idx));
-        assert_eq!(pc.counters().1, 1);
     }
 
     #[test]
@@ -470,7 +440,6 @@ mod tests {
             );
         }
         assert_eq!(pc.allocated_frames(), 5_000);
-        assert_eq!(pc.counters().1, 0);
     }
 
     #[test]

@@ -104,12 +104,6 @@ pub struct DataCache {
     map: DirectMap,
     tags: Vec<Option<BlockRef>>,
     states: Vec<LineState>,
-    /// Monotonic counters for reporting.
-    hits: u64,
-    misses: u64,
-    upgrades: u64,
-    evictions: u64,
-    invalidations_received: u64,
 }
 
 impl DataCache {
@@ -131,11 +125,6 @@ impl DataCache {
             map: DirectMap::new(lines),
             tags: vec![None; lines],
             states: vec![LineState::Invalid; lines],
-            hits: 0,
-            misses: 0,
-            upgrades: 0,
-            evictions: 0,
-            invalidations_received: 0,
         }
     }
 
@@ -190,7 +179,7 @@ impl DataCache {
         }
     }
 
-    /// Present an access to the cache and update hit/miss statistics.
+    /// Present an access to the cache.
     ///
     /// On a hit the state is updated in place (a write hit on an
     /// `Exclusive` line silently becomes `Modified`).  On a miss or upgrade
@@ -199,20 +188,9 @@ impl DataCache {
     /// [`DataCache::upgrade`]) with the resulting state.
     pub fn access(&mut self, block: BlockRef, kind: AccessKind) -> CacheOutcome {
         let outcome = self.probe(block, kind);
-        match outcome {
-            CacheOutcome::Hit => {
-                self.hits += 1;
-                if kind.is_write() {
-                    let idx = self.index_of(block);
-                    self.states[idx] = LineState::Modified;
-                }
-            }
-            CacheOutcome::UpgradeMiss => {
-                self.upgrades += 1;
-            }
-            CacheOutcome::Miss { .. } => {
-                self.misses += 1;
-            }
+        if outcome == CacheOutcome::Hit && kind.is_write() {
+            let idx = self.index_of(block);
+            self.states[idx] = LineState::Modified;
         }
         outcome
     }
@@ -223,13 +201,10 @@ impl DataCache {
         assert!(state.is_valid(), "cannot fill a line into Invalid state");
         let idx = self.index_of(block);
         let victim = match self.tags[idx] {
-            Some(old) if old != block && self.states[idx].is_valid() => {
-                self.evictions += 1;
-                Some(Victim {
-                    block: old,
-                    state: self.states[idx],
-                })
-            }
+            Some(old) if old != block && self.states[idx].is_valid() => Some(Victim {
+                block: old,
+                state: self.states[idx],
+            }),
             _ => None,
         };
         self.tags[idx] = Some(block);
@@ -256,7 +231,6 @@ impl DataCache {
             let old = self.states[idx];
             self.states[idx] = LineState::Invalid;
             self.tags[idx] = None;
-            self.invalidations_received += 1;
             old
         } else {
             LineState::Invalid
@@ -288,17 +262,6 @@ impl DataCache {
                 (Some(b), s) if s.is_valid() => Some((*b, *s)),
                 _ => None,
             })
-    }
-
-    /// (hits, misses, upgrades, evictions, invalidations received).
-    pub fn counters(&self) -> (u64, u64, u64, u64, u64) {
-        (
-            self.hits,
-            self.misses,
-            self.upgrades,
-            self.evictions,
-            self.invalidations_received,
-        )
     }
 }
 
@@ -403,26 +366,12 @@ mod tests {
     }
 
     #[test]
-    fn counters_track_activity() {
-        let mut c = small_cache();
-        c.access(b(2), AccessKind::Read); // miss
-        c.fill(b(2), LineState::Shared);
-        c.access(b(2), AccessKind::Read); // hit
-        c.access(b(2), AccessKind::Write); // upgrade
-        c.upgrade(b(2));
-        c.invalidate(b(2));
-        let (hits, misses, upgrades, _evictions, invals) = c.counters();
-        assert_eq!((hits, misses, upgrades, invals), (1, 1, 1, 1));
-    }
-
-    #[test]
     fn probe_does_not_modify() {
         let mut c = small_cache();
         assert_eq!(
             c.probe(b(5), AccessKind::Read),
             CacheOutcome::Miss { victim: None }
         );
-        assert_eq!(c.counters().1, 0, "probe must not count as a miss");
         c.fill(b(5), LineState::Shared);
         assert_eq!(c.probe(b(5), AccessKind::Write), CacheOutcome::UpgradeMiss);
         assert_eq!(c.state_of(b(5)), LineState::Shared);

@@ -17,8 +17,7 @@
 //!   a single read-write home.
 //!
 //! All page-mode transitions (first-touch, migration, replication, R-NUMA
-//! relocation, replica invalidation) go through this table, so it is also
-//! the natural place to count mapping operations and TLB shootdowns.
+//! relocation, replica invalidation) go through this table.
 //!
 //! Entries are keyed by the dense [`PageIdx`] the trace layer interns: the
 //! mapping lookup on every memory reference is a single array access.
@@ -84,9 +83,6 @@ impl PageMapping {
 pub struct PageTable {
     entries: Slab<Option<PageMapping>>,
     mapped: usize,
-    map_operations: u64,
-    unmap_operations: u64,
-    tlb_shootdowns: u64,
 }
 
 impl PageTable {
@@ -108,7 +104,6 @@ impl PageTable {
 
     /// Install (or replace) the mapping of `page`.
     pub fn map(&mut self, page: PageIdx, mapping: PageMapping) {
-        self.map_operations += 1;
         let slot = self.entries.entry(page.index());
         if slot.is_none() {
             self.mapped += 1;
@@ -116,14 +111,11 @@ impl PageTable {
         *slot = Some(mapping);
     }
 
-    /// Remove the mapping of `page`; returns the old mapping.  Counts a TLB
-    /// shootdown on this node.
+    /// Remove the mapping of `page`; returns the old mapping.
     pub fn unmap(&mut self, page: PageIdx) -> Option<PageMapping> {
         let old = self.entries.get_mut(page.index()).and_then(Option::take);
         if old.is_some() {
             self.mapped -= 1;
-            self.unmap_operations += 1;
-            self.tlb_shootdowns += 1;
         }
         old
     }
@@ -188,15 +180,6 @@ impl PageTable {
     pub fn is_empty(&self) -> bool {
         self.mapped == 0
     }
-
-    /// `(map operations, unmap operations, TLB shootdowns)` counters.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (
-            self.map_operations,
-            self.unmap_operations,
-            self.tlb_shootdowns,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -216,14 +199,13 @@ mod tests {
         let old = pt.unmap(p).unwrap();
         assert_eq!(old.mode, PageMode::RemoteCcNuma);
         assert!(!pt.is_mapped(p));
-        assert_eq!(pt.counters(), (1, 1, 1));
     }
 
     #[test]
     fn unmap_of_unmapped_page_is_noop() {
         let mut pt = PageTable::new();
         assert!(pt.unmap(PageIdx(1)).is_none());
-        assert_eq!(pt.counters(), (0, 0, 0));
+        assert!(pt.is_empty());
     }
 
     #[test]
@@ -273,7 +255,6 @@ mod tests {
         pt.map(p, PageMapping::new(PageMode::SComa, NodeId(1)));
         assert_eq!(pt.len(), 1);
         assert_eq!(pt.lookup(p).unwrap().mode, PageMode::SComa);
-        assert_eq!(pt.counters().0, 2);
     }
 
     #[test]
