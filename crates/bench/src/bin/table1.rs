@@ -1,7 +1,8 @@
 //! Prints Table 1: the qualitative opportunity/overhead comparison of page
 //! replication, page migration and R-NUMA, backed by measured per-node page
 //! operation counts from a reduced-scale run of two representative
-//! workloads (lu: replication-friendly; ocean: neither).
+//! workloads (lu: replication-friendly; ocean: neither).  The two are
+//! fixed: `--workloads` is ignored, and `--replay` is refused (exit 2).
 
 use dsm_bench::{presets, Axis, Options, Sweep};
 
@@ -9,6 +10,10 @@ fn main() {
     let opts = Options::from_env();
     if opts.handle_record() {
         return;
+    }
+    if opts.replay.is_some() {
+        eprintln!("error: `--replay` is not supported: Table 1 always measures lu and ocean");
+        std::process::exit(2);
     }
     println!("# Table 1: capacity/conflict miss reduction opportunity and overhead");
     println!(
