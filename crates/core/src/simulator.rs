@@ -236,6 +236,9 @@ struct RunState<'a> {
     /// locality (consecutive same-proc references usually stay on one
     /// page), so this skips the interner's hash probe for most of a burst.
     page_memo: Option<PageRef>,
+    /// The nodes a write must invalidate, reused by every write so that
+    /// none allocates.
+    invalidate: Vec<NodeId>,
 }
 
 impl<'a> RunState<'a> {
@@ -279,6 +282,7 @@ impl<'a> RunState<'a> {
                 .map(|p| machine.topology.node_of(ProcId(p as u16)).index() as u32)
                 .collect(),
             page_memo: None,
+            invalidate: Vec::new(),
         }
     }
 
@@ -736,12 +740,17 @@ impl<'a> RunState<'a> {
     /// caller charges it, not traffic.
     fn coherence(&mut self, a: &Access, on_read: DirtyOwner) -> Coherence {
         let (source, remote_invalidated) = if a.is_write {
-            let reply = self.directory.handle_write(a.block.idx, a.node);
-            // The reply never lists the requester itself.
-            for victim in &reply.invalidate {
+            let mut invalidate = std::mem::take(&mut self.invalidate);
+            let source = self
+                .directory
+                .handle_write_into(a.block.idx, a.node, &mut invalidate);
+            // The list never holds the requester itself.
+            for victim in &invalidate {
                 self.invalidate_block_on_node(victim.index(), a.block);
             }
-            (reply.source, !reply.invalidate.is_empty())
+            let remote_invalidated = !invalidate.is_empty();
+            self.invalidate = invalidate;
+            (source, remote_invalidated)
         } else {
             let reply = self.directory.handle_read(a.block.idx, a.node);
             (reply.source, false)

@@ -8,30 +8,44 @@
 //! directory only sees *nodes*.
 //!
 //! Directory state is keyed by the dense [`BlockIdx`] the trace layer
-//! interns (see [`mem_trace::intern`]): entries live in a flat slab indexed
-//! by block index, so the per-miss directory transition is an array access,
-//! and a page purge touches exactly the page's contiguous block slots.
-//!
-//! Sharer tracking is a [`SharerSet`]: one inline word for clusters of up
-//! to 64 nodes (the exact bitmask semantics the directory always had,
-//! allocation-free) and a boxed bitset beyond, so cluster size is a real
-//! sweep axis instead of a hard cap.
+//! interns (see [`mem_trace::intern`]) and stored as flat rows in one
+//! `Vec<u64>`: per block a state word, then the sharer bitmask in as many
+//! words as the widest node index seen so far needs.  A transition is one
+//! row access with no allocation, and a page purge touches exactly the
+//! page's contiguous rows.  The table starts one sharer word wide and is
+//! re-laid out once each time a node index past its width arrives, so
+//! cluster size is a real sweep axis without a node count up front.
+//! [`DirectoryEntry`] is a view built on demand, not the storage.
 
-use mem_trace::{BlockIdx, Geometry, NodeId, PageIdx, SharerSet, Slab};
+use mem_trace::{BlockIdx, Geometry, NodeId, PageIdx, SharerSet};
 
 /// Directory state of a block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DirectoryState {
     /// No node caches the block; memory at the home is up to date.
     #[default]
-    Uncached,
+    Uncached = 0,
     /// One or more nodes hold read-only copies; memory is up to date.
-    Shared,
+    Shared = 1,
     /// Exactly one node holds a (potentially dirty) exclusive copy.
-    Modified,
+    Modified = 2,
 }
 
-/// A directory entry: state plus sharer set.
+impl DirectoryState {
+    /// Decode a row's state word (zero, the value of a fresh row, is
+    /// `Uncached`).
+    #[inline]
+    fn from_word(word: u64) -> Self {
+        match word {
+            1 => DirectoryState::Shared,
+            2 => DirectoryState::Modified,
+            _ => DirectoryState::Uncached,
+        }
+    }
+}
+
+/// A directory entry: state plus sharer set, as [`Directory::entry`]
+/// reports it.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DirectoryEntry {
     /// Coherence state.
@@ -41,10 +55,6 @@ pub struct DirectoryEntry {
 }
 
 impl DirectoryEntry {
-    fn uncached() -> Self {
-        DirectoryEntry::default()
-    }
-
     /// Nodes currently holding a copy, ascending.
     pub fn sharer_nodes(&self) -> Vec<NodeId> {
         self.sharers.nodes()
@@ -91,14 +101,50 @@ pub struct WriteReply {
     pub invalidate: Vec<NodeId>,
 }
 
+/// The word and bit of `node` within a row's sharer words.
+#[inline]
+fn sharer_bit(node: NodeId) -> (usize, u64) {
+    (node.index() / 64, 1u64 << (node.index() % 64))
+}
+
+/// The members of a row's sharer words, ascending.
+fn sharers(words: &[u64]) -> impl Iterator<Item = NodeId> + '_ {
+    words.iter().enumerate().flat_map(|(i, w)| {
+        let mut w = *w;
+        std::iter::from_fn(move || {
+            if w == 0 {
+                return None;
+            }
+            let bit = w.trailing_zeros() as usize;
+            w &= w - 1;
+            Some(NodeId((i * 64 + bit) as u16))
+        })
+    })
+}
+
+/// The lowest member of a row's sharer words: the owner of a modified
+/// block, which has exactly one.
+#[inline]
+fn first_sharer(words: &[u64]) -> Option<NodeId> {
+    words
+        .iter()
+        .position(|w| *w != 0)
+        .map(|i| NodeId((i * 64 + words[i].trailing_zeros() as usize) as u16))
+}
+
 /// Full-map directory covering every block of shared memory.
 ///
-/// Entries are a dense slab over interned block indices: blocks never
-/// referenced remotely stay in the implicit `Uncached` state (a
-/// default-valued slot, or no slot at all).
+/// Rows are materialized on demand over interned block indices: blocks
+/// never referenced remotely stay in the implicit `Uncached` state (an
+/// all-zero row, or no row at all).
 #[derive(Debug, Clone)]
 pub struct Directory {
-    entries: Slab<DirectoryEntry>,
+    /// Row `b` is `rows[b * (1 + words) ..][.. 1 + words]`: the
+    /// [`DirectoryState`] as a word, then the sharer bitmask, node `n` at
+    /// bit `n % 64` of sharer word `n / 64`.
+    rows: Vec<u64>,
+    /// Sharer words per row: enough for every node index seen so far.
+    words: usize,
     geometry: Geometry,
 }
 
@@ -115,122 +161,170 @@ impl Directory {
     }
 
     /// An empty directory whose page purges walk `geometry.blocks_per_page()`
-    /// contiguous slots.
+    /// contiguous rows.
     pub fn with_geometry(geometry: Geometry) -> Self {
         Directory {
-            entries: Slab::new(),
+            rows: Vec::new(),
+            words: 1,
             geometry,
         }
     }
 
-    /// Current entry for `block` (implicitly `Uncached`).
     #[inline]
-    pub fn entry(&self, block: BlockIdx) -> DirectoryEntry {
-        self.entries
-            .get(block.index())
-            .cloned()
-            .unwrap_or_else(DirectoryEntry::uncached)
+    fn stride(&self) -> usize {
+        1 + self.words
     }
 
-    /// The node holding `block` modified, if any — without cloning the
-    /// sharer set (the simulator's hot-path query).
+    /// The row of `block`, or `None` if it was never materialized.
+    #[inline]
+    fn row(&self, block: BlockIdx) -> Option<&[u64]> {
+        let start = block.index() * self.stride();
+        self.rows.get(start..start + self.stride())
+    }
+
+    #[inline]
+    fn row_mut(&mut self, block: BlockIdx) -> Option<&mut [u64]> {
+        let stride = self.stride();
+        let start = block.index() * stride;
+        self.rows.get_mut(start..start + stride)
+    }
+
+    /// The row of `block`, materialized, in a table wide enough for `node`.
+    #[inline]
+    fn row_for(&mut self, block: BlockIdx, node: NodeId) -> &mut [u64] {
+        if node.index() >= 64 * self.words {
+            self.widen(node.index() / 64 + 1);
+        }
+        let stride = self.stride();
+        let start = block.index() * stride;
+        if start + stride > self.rows.len() {
+            self.rows.resize(start + stride, 0);
+        }
+        &mut self.rows[start..start + stride]
+    }
+
+    /// Re-lay the table out with `words` sharer words per row.
+    #[cold]
+    fn widen(&mut self, words: usize) {
+        let (old, new) = (self.stride(), 1 + words);
+        let mut rows = vec![0; self.rows.len() / old * new];
+        for (from, to) in self.rows.chunks_exact(old).zip(rows.chunks_exact_mut(new)) {
+            to[..old].copy_from_slice(from);
+        }
+        self.rows = rows;
+        self.words = words;
+    }
+
+    /// Current entry for `block` (implicitly `Uncached`).
+    pub fn entry(&self, block: BlockIdx) -> DirectoryEntry {
+        match self.row(block) {
+            Some(row) => DirectoryEntry {
+                state: DirectoryState::from_word(row[0]),
+                sharers: sharers(&row[1..]).map(NodeId::index).collect(),
+            },
+            None => DirectoryEntry::default(),
+        }
+    }
+
+    /// The node holding `block` modified, if any — without building an
+    /// entry.
     #[inline]
     pub fn owner_of(&self, block: BlockIdx) -> Option<NodeId> {
-        self.entries
-            .get(block.index())
-            .filter(|e| e.state == DirectoryState::Modified)
-            .and_then(|e| e.sharers.first())
-            .map(|i| NodeId(i as u16))
+        self.row(block)
+            .filter(|row| row[0] == DirectoryState::Modified as u64)
+            .and_then(|row| first_sharer(&row[1..]))
     }
 
     /// Handle a read request for `block` by `requester`.
     pub fn handle_read(&mut self, block: BlockIdx, requester: NodeId) -> ReadReply {
-        let entry = self.entries.entry(block.index());
-        let already_sharer = entry.sharers.contains(requester.index());
-        let reply = match entry.state {
-            DirectoryState::Uncached | DirectoryState::Shared => ReadReply {
-                source: DataSource::HomeMemory,
-                already_sharer,
-            },
+        let row = self.row_for(block, requester);
+        let (word, bit) = sharer_bit(requester);
+        let already_sharer = row[1 + word] & bit != 0;
+        let source = match DirectoryState::from_word(row[0]) {
+            DirectoryState::Uncached | DirectoryState::Shared => DataSource::HomeMemory,
             DirectoryState::Modified => {
                 // dsm-lint: allow(panic-path, DirectoryState::Modified is entered only when exactly one sharer registers a write; the sharer list cannot be empty in that state)
-                let owner = NodeId(entry.sharers.first().expect("modified implies owner") as u16);
+                let owner = first_sharer(&row[1..]).expect("modified implies owner");
                 if owner == requester {
-                    // Requester already owns it (e.g. re-registration after a
-                    // block-cache refresh); no transition needed.
-                    ReadReply {
-                        source: DataSource::HomeMemory,
-                        already_sharer: true,
-                    }
+                    // Requester already owns it (e.g. re-registration after
+                    // a block-cache refresh); no transition needed.
+                    DataSource::HomeMemory
                 } else {
-                    ReadReply {
-                        source: DataSource::Owner(owner),
-                        already_sharer,
-                    }
+                    DataSource::Owner(owner)
                 }
             }
         };
         // After a read the block is shared by the previous holders plus the
         // requester, and memory is (or will be) up to date.
-        entry.sharers.insert(requester.index());
-        entry.state = DirectoryState::Shared;
-        reply
+        row[1 + word] |= bit;
+        row[0] = DirectoryState::Shared as u64;
+        ReadReply {
+            source,
+            already_sharer,
+        }
     }
 
     /// Handle a write (read-exclusive) request for `block` by `requester`.
+    /// Allocates the reply's list; the simulator uses
+    /// [`Directory::handle_write_into`].
     pub fn handle_write(&mut self, block: BlockIdx, requester: NodeId) -> WriteReply {
-        let entry = self.entries.entry(block.index());
-        let reply = match entry.state {
-            DirectoryState::Uncached => WriteReply {
-                source: DataSource::HomeMemory,
-                invalidate: Vec::new(),
-            },
+        let mut invalidate = Vec::new();
+        let source = self.handle_write_into(block, requester, &mut invalidate);
+        WriteReply { source, invalidate }
+    }
+
+    /// Handle a write (read-exclusive) request for `block` by `requester`,
+    /// replacing the contents of `invalidate` with the nodes whose copies
+    /// must be invalidated, ascending (never the requester).  Returns where
+    /// the data comes from, as [`WriteReply::source`].
+    pub fn handle_write_into(
+        &mut self,
+        block: BlockIdx,
+        requester: NodeId,
+        invalidate: &mut Vec<NodeId>,
+    ) -> DataSource {
+        invalidate.clear();
+        let row = self.row_for(block, requester);
+        let source = match DirectoryState::from_word(row[0]) {
+            DirectoryState::Uncached => DataSource::HomeMemory,
             DirectoryState::Shared => {
-                let others: Vec<NodeId> = entry
-                    .sharers
-                    .iter()
-                    .filter(|i| *i != requester.index())
-                    .map(|i| NodeId(i as u16))
-                    .collect();
-                WriteReply {
-                    source: DataSource::HomeMemory,
-                    invalidate: others,
-                }
+                invalidate.extend(sharers(&row[1..]).filter(|n| *n != requester));
+                DataSource::HomeMemory
             }
             DirectoryState::Modified => {
                 // dsm-lint: allow(panic-path, DirectoryState::Modified is entered only when exactly one sharer registers a write; the sharer list cannot be empty in that state)
-                let owner = NodeId(entry.sharers.first().expect("modified implies owner") as u16);
+                let owner = first_sharer(&row[1..]).expect("modified implies owner");
                 if owner == requester {
-                    WriteReply {
-                        source: DataSource::HomeMemory,
-                        invalidate: Vec::new(),
-                    }
+                    DataSource::HomeMemory
                 } else {
-                    WriteReply {
-                        source: DataSource::Owner(owner),
-                        invalidate: vec![owner],
-                    }
+                    invalidate.push(owner);
+                    DataSource::Owner(owner)
                 }
             }
         };
-        entry.state = DirectoryState::Modified;
-        entry.sharers.clear();
-        entry.sharers.insert(requester.index());
-        reply
+        let (word, bit) = sharer_bit(requester);
+        row[0] = DirectoryState::Modified as u64;
+        row[1..].fill(0);
+        row[1 + word] = bit;
+        source
     }
 
     /// A node silently dropped (evicted) its copy of `block`; if it held the
     /// block modified the caller is responsible for the write-back traffic.
     pub fn handle_eviction(&mut self, block: BlockIdx, node: NodeId) {
-        if let Some(entry) = self.entries.get_mut(block.index()) {
-            entry.sharers.remove(node.index());
-            if entry.sharers.is_empty() {
-                entry.state = DirectoryState::Uncached;
-            } else if entry.state == DirectoryState::Modified {
-                // The owner evicted; remaining copies (if any) are clean
-                // shared copies.
-                entry.state = DirectoryState::Shared;
-            }
+        let Some(row) = self.row_mut(block) else {
+            return;
+        };
+        let (word, bit) = sharer_bit(node);
+        if let Some(w) = row.get_mut(1 + word) {
+            *w &= !bit;
+        }
+        if row[1..].iter().all(|w| *w == 0) {
+            row[0] = DirectoryState::Uncached as u64;
+        } else if row[0] == DirectoryState::Modified as u64 {
+            // The owner evicted; remaining copies (if any) are clean
+            // shared copies.
+            row[0] = DirectoryState::Shared as u64;
         }
     }
 
@@ -239,25 +333,25 @@ impl Directory {
     /// list of nodes that held a copy.
     ///
     /// Thanks to the contiguous block-index layout this touches exactly the
-    /// page's `blocks_per_page` slots, never the rest of the table.
+    /// page's `blocks_per_page` rows, never the rest of the table.
     pub fn purge_page(&mut self, page: PageIdx) -> Vec<(BlockIdx, Vec<NodeId>)> {
         let mut flushed = Vec::new();
         for block in self.geometry.block_indices(page) {
-            if let Some(entry) = self.entries.get_mut(block.index()) {
-                if !entry.sharers.is_empty() {
-                    flushed.push((block, entry.sharer_nodes()));
+            if let Some(row) = self.row_mut(block) {
+                if row[1..].iter().any(|w| *w != 0) {
+                    flushed.push((block, sharers(&row[1..]).collect()));
                 }
-                *entry = DirectoryEntry::uncached();
+                row.fill(0);
             }
         }
         flushed
     }
 
-    /// Number of blocks currently cached somewhere (non-`Uncached` entries).
+    /// Number of blocks currently cached somewhere (non-`Uncached` rows).
     pub fn tracked_blocks(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| e.state != DirectoryState::Uncached)
+        self.rows
+            .chunks_exact(self.stride())
+            .filter(|row| row[0] != DirectoryState::Uncached as u64)
             .count()
     }
 }
@@ -362,6 +456,21 @@ mod tests {
         let e = dir.entry(B);
         assert_eq!(e.state, DirectoryState::Shared);
         assert_eq!(e.sharer_nodes(), vec![NodeId(1)]);
+    }
+
+    #[test]
+    fn widening_keeps_every_row() {
+        let mut dir = Directory::new();
+        dir.handle_read(B, NodeId(3));
+        dir.handle_write(BlockIdx(7), NodeId(63));
+        // Node 200 needs four sharer words: one re-layout of the table.
+        dir.handle_read(B, NodeId(200));
+        assert_eq!(dir.entry(B).sharer_nodes(), vec![NodeId(3), NodeId(200)]);
+        assert_eq!(dir.owner_of(BlockIdx(7)), Some(NodeId(63)));
+        let w = dir.handle_write(B, NodeId(64));
+        assert_eq!(w.invalidate, vec![NodeId(3), NodeId(200)]);
+        assert_eq!(dir.owner_of(B), Some(NodeId(64)));
+        assert_eq!(dir.tracked_blocks(), 2);
     }
 
     #[test]
