@@ -15,7 +15,7 @@
 //! re-fetches, so the classifier is also the source of the signal that
 //! drives relocation decisions.
 
-use mem_trace::{BlockIdx, Slab};
+use mem_trace::BlockIdx;
 
 /// Classification of a processor-cache miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -30,29 +30,33 @@ pub enum MissClass {
 }
 
 /// What the classifier remembers about a block: whether this processor ever
-/// cached it and, if it left the cache, why.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// cached it and, if it left the cache, why.  Stored in two bits; a zero
+/// (never written) field reads as `Untouched`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 enum History {
-    /// Never cached by this processor (the slab's default).
-    #[default]
-    Untouched,
+    /// Never cached by this processor.
+    Untouched = 0,
     /// Currently believed resident.
-    Resident,
+    Resident = 1,
     /// Displaced by a fill to the same cache line, or flushed by a page
     /// operation.
-    Evicted,
+    Evicted = 2,
     /// Invalidated by the coherence protocol (a remote write).
-    Invalidated,
+    Invalidated = 3,
 }
 
 /// Tracks, per processor, the history needed to classify misses.
 ///
-/// The history is a dense slab over interned block indices — one byte per
-/// block the *cluster* touched — so the per-miss classification and the
-/// per-fill/eviction/invalidation bookkeeping are single array accesses.
+/// The history is a dense table over interned block indices — two bits per
+/// block the *cluster* touched, four blocks per byte — so the per-miss
+/// classification and the per-fill/eviction/invalidation bookkeeping are
+/// single array accesses.
 #[derive(Debug, Clone, Default)]
 pub struct MissClassifier {
-    history: Slab<History>,
+    /// Block `b`'s [`History`] is bits `2 * (b % 4) ..` of byte `b / 4`;
+    /// bytes past the end read as zero.
+    history: Vec<u8>,
     cold: u64,
     coherence: u64,
     capacity_conflict: u64,
@@ -64,10 +68,33 @@ impl MissClassifier {
         Self::default()
     }
 
+    #[inline]
+    fn history(&self, block: BlockIdx) -> History {
+        let b = block.index();
+        let packed = self.history.get(b / 4).copied().unwrap_or(0);
+        match (packed >> (2 * (b % 4))) & 3 {
+            0 => History::Untouched,
+            1 => History::Resident,
+            2 => History::Evicted,
+            _ => History::Invalidated,
+        }
+    }
+
+    #[inline]
+    fn record(&mut self, block: BlockIdx, history: History) {
+        let b = block.index();
+        if b / 4 >= self.history.len() {
+            self.history.resize(b / 4 + 1, 0);
+        }
+        let shift = 2 * (b % 4);
+        let packed = &mut self.history[b / 4];
+        *packed = (*packed & !(3 << shift)) | ((history as u8) << shift);
+    }
+
     /// Classify (and record) a miss on `block`.  Call exactly once per
     /// processor-cache miss, before recording the subsequent fill.
     pub fn classify_miss(&mut self, block: BlockIdx) -> MissClass {
-        let class = match self.history.get(block.index()).copied().unwrap_or_default() {
+        let class = match self.history(block) {
             History::Untouched => MissClass::Cold,
             History::Resident => {
                 // Block believed resident yet we missed: this happens when a
@@ -89,17 +116,17 @@ impl MissClassifier {
 
     /// Record that `block` is now resident in this processor's cache.
     pub fn record_fill(&mut self, block: BlockIdx) {
-        *self.history.entry(block.index()) = History::Resident;
+        self.record(block, History::Resident);
     }
 
     /// Record that `block` was evicted (capacity/conflict departure).
     pub fn record_eviction(&mut self, block: BlockIdx) {
-        *self.history.entry(block.index()) = History::Evicted;
+        self.record(block, History::Evicted);
     }
 
     /// Record that `block` was invalidated by the coherence protocol.
     pub fn record_invalidation(&mut self, block: BlockIdx) {
-        *self.history.entry(block.index()) = History::Invalidated;
+        self.record(block, History::Invalidated);
     }
 
     /// `(cold, coherence, capacity_conflict)` counts so far.
