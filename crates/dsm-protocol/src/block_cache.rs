@@ -8,11 +8,13 @@
 //!
 //! Blocks are addressed by [`BlockRef`]: the sparse id picks the
 //! direct-mapped set (so conflict behaviour is a function of real
-//! addresses), while the dense index keys the infinite variant's flat slab —
-//! making the perfect cache's lookups array accesses and its page flushes
-//! 64-slot scans instead of whole-table walks.
+//! addresses), while the dense index is the finite variant's `u32` line tag
+//! and keys the infinite variant's flat slab — making the perfect cache's
+//! lookups array accesses and its page flushes 64-slot scans instead of
+//! whole-table walks.  A finite line's sparse id sits in a parallel array
+//! that only victims and page flushes read.
 
-use mem_trace::{BlockRef, DirectMap, Geometry, PageRef, Slab};
+use mem_trace::{BlockId, BlockIdx, BlockRef, DirectMap, Geometry, PageRef, Slab};
 
 /// State of a block held in the block cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,10 +60,17 @@ impl BlockCacheConfig {
     }
 }
 
+/// The tag of an empty finite line.  No block has this dense index: the
+/// interner keeps every index below `u32::MAX`.
+const EMPTY: u32 = u32::MAX;
+
 enum Storage {
     Finite {
         map: DirectMap,
-        tags: Vec<Option<BlockRef>>,
+        /// Dense index of each line's block, or [`EMPTY`].
+        tags: Vec<u32>,
+        /// Sparse id of each occupied line's block.
+        ids: Vec<BlockId>,
         states: Vec<BlockState>,
     },
     Infinite {
@@ -98,7 +107,8 @@ impl BlockCache {
                 assert!(lines > 0, "block cache must have at least one line");
                 Storage::Finite {
                     map: DirectMap::new(lines),
-                    tags: vec![None; lines],
+                    tags: vec![EMPTY; lines],
+                    ids: vec![BlockId(0); lines],
                     states: vec![BlockState::Clean; lines],
                 }
             }
@@ -128,13 +138,11 @@ impl BlockCache {
     #[inline]
     pub fn state_of(&self, block: BlockRef) -> Option<BlockState> {
         match &self.storage {
-            Storage::Finite { map, tags, states } => {
+            Storage::Finite {
+                map, tags, states, ..
+            } => {
                 let idx = map.line_of(block.id);
-                if tags[idx] == Some(block) {
-                    Some(states[idx])
-                } else {
-                    None
-                }
+                (tags[idx] == block.idx.0).then(|| states[idx])
             }
             Storage::Infinite { blocks, .. } => blocks.get(block.idx.index()).copied().flatten(),
         }
@@ -149,13 +157,22 @@ impl BlockCache {
     /// line was occupied by a different block.
     pub fn fill(&mut self, block: BlockRef, state: BlockState) -> Option<(BlockRef, BlockState)> {
         match &mut self.storage {
-            Storage::Finite { map, tags, states } => {
+            Storage::Finite {
+                map,
+                tags,
+                ids,
+                states,
+            } => {
+                debug_assert_ne!(
+                    block.idx.0, EMPTY,
+                    "dense index collides with the empty tag"
+                );
                 let idx = map.line_of(block.id);
-                let victim = match tags[idx] {
-                    Some(old) if old != block => Some((old, states[idx])),
-                    _ => None,
-                };
-                tags[idx] = Some(block);
+                let old = tags[idx];
+                let victim = (old != EMPTY && old != block.idx.0)
+                    .then(|| (BlockRef::new(ids[idx], BlockIdx(old)), states[idx]));
+                tags[idx] = block.idx.0;
+                ids[idx] = block.id;
                 states[idx] = state;
                 victim
             }
@@ -174,9 +191,11 @@ impl BlockCache {
     /// Returns `false` if the block is not resident.
     pub fn mark_dirty(&mut self, block: BlockRef) -> bool {
         match &mut self.storage {
-            Storage::Finite { map, tags, states } => {
+            Storage::Finite {
+                map, tags, states, ..
+            } => {
                 let idx = map.line_of(block.id);
-                if tags[idx] == Some(block) {
+                if tags[idx] == block.idx.0 {
                     states[idx] = BlockState::Dirty;
                     true
                 } else {
@@ -198,10 +217,12 @@ impl BlockCache {
     /// Remove `block` (remote invalidation); returns its state if present.
     pub fn invalidate(&mut self, block: BlockRef) -> Option<BlockState> {
         match &mut self.storage {
-            Storage::Finite { map, tags, states } => {
+            Storage::Finite {
+                map, tags, states, ..
+            } => {
                 let idx = map.line_of(block.id);
-                if tags[idx] == Some(block) {
-                    tags[idx] = None;
+                if tags[idx] == block.idx.0 {
+                    tags[idx] = EMPTY;
                     Some(states[idx])
                 } else {
                     None
@@ -225,13 +246,14 @@ impl BlockCache {
         let mut flushed = Vec::new();
         let geometry = self.geometry;
         match &mut self.storage {
-            Storage::Finite { tags, states, .. } => {
+            Storage::Finite {
+                tags, ids, states, ..
+            } => {
                 for idx in 0..tags.len() {
-                    if let Some(b) = tags[idx] {
-                        if geometry.page_of_block_idx(b.idx) == page.idx {
-                            flushed.push((b, states[idx]));
-                            tags[idx] = None;
-                        }
+                    let tag = tags[idx];
+                    if tag != EMPTY && geometry.page_of_block_idx(BlockIdx(tag)) == page.idx {
+                        flushed.push((BlockRef::new(ids[idx], BlockIdx(tag)), states[idx]));
+                        tags[idx] = EMPTY;
                     }
                 }
             }
@@ -253,7 +275,7 @@ impl BlockCache {
     /// Number of resident blocks.
     pub fn resident(&self) -> usize {
         match &self.storage {
-            Storage::Finite { tags, .. } => tags.iter().filter(|t| t.is_some()).count(),
+            Storage::Finite { tags, .. } => tags.iter().filter(|t| **t != EMPTY).count(),
             Storage::Infinite { resident, .. } => *resident,
         }
     }
@@ -290,12 +312,17 @@ mod tests {
 
     #[test]
     fn conflict_evicts_previous_block() {
-        let mut c = tiny(); // 4 lines: blocks 1 and 5 conflict
-        c.fill(b(1), BlockState::Dirty);
-        let victim = c.fill(b(5), BlockState::Clean);
-        assert_eq!(victim, Some((b(1), BlockState::Dirty)));
-        assert!(!c.contains(b(1)));
-        assert!(c.contains(b(5)));
+        // Identity interning, then ids a million past their dense indices:
+        // the victim comes back as the exact ref that was filled.
+        for id_offset in [0, 1_000_000] {
+            let r = |n: u64| BlockRef::new(BlockId(n + id_offset), BlockIdx(n as u32));
+            let mut c = tiny(); // 4 lines: blocks 1 and 5 conflict
+            c.fill(r(1), BlockState::Dirty);
+            let victim = c.fill(r(5), BlockState::Clean);
+            assert_eq!(victim, Some((r(1), BlockState::Dirty)));
+            assert!(!c.contains(r(1)));
+            assert!(c.contains(r(5)));
+        }
     }
 
     #[test]

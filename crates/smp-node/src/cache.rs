@@ -10,11 +10,13 @@
 //!
 //! Blocks are addressed by [`BlockRef`]: the *sparse id* selects the
 //! direct-mapped set (conflict behaviour must be a function of real
-//! addresses), while the tag stores the full ref so that victims and
-//! resident-block enumerations hand their dense index straight to the
-//! classifier and directory without a lookup.
+//! addresses), while a line's tag is the block's dense index as a `u32`.
+//! Comparing dense indices alone is exact, because the interner pairs ids
+//! and indices one to one within a run.  The sparse id sits in a parallel
+//! array that only victims and resident-block enumerations read, so they
+//! still hand back the full ref without a lookup.
 
-use mem_trace::{AccessKind, BlockRef, DirectMap};
+use mem_trace::{AccessKind, BlockId, BlockIdx, BlockRef, DirectMap};
 
 /// MOESI coherence states of a cache line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -98,11 +100,17 @@ pub enum CacheOutcome {
 }
 
 /// A direct-mapped data cache.
+///
+/// A line holds a block exactly when its state is valid; its tag and id
+/// are stale otherwise.
 #[derive(Debug, Clone)]
 pub struct DataCache {
     config: CacheConfig,
     map: DirectMap,
-    tags: Vec<Option<BlockRef>>,
+    /// Dense index of each line's block.
+    tags: Vec<u32>,
+    /// Sparse id of each line's block, read only to rebuild its ref.
+    ids: Vec<BlockId>,
     states: Vec<LineState>,
 }
 
@@ -123,7 +131,8 @@ impl DataCache {
         DataCache {
             config,
             map: DirectMap::new(lines),
-            tags: vec![None; lines],
+            tags: vec![0; lines],
+            ids: vec![BlockId(0); lines],
             states: vec![LineState::Invalid; lines],
         }
     }
@@ -138,11 +147,28 @@ impl DataCache {
         self.map.line_of(block.id)
     }
 
+    /// `true` if line `idx` holds `block`.
+    #[inline]
+    fn holds(&self, idx: usize, block: BlockRef) -> bool {
+        self.states[idx].is_valid() && self.tags[idx] == block.idx.0
+    }
+
+    /// The block line `idx` holds, with its state, if the line is valid and
+    /// holds a block other than `block`.
+    #[inline]
+    fn other_victim(&self, idx: usize, block: BlockRef) -> Option<Victim> {
+        let state = self.states[idx];
+        (state.is_valid() && self.tags[idx] != block.idx.0).then(|| Victim {
+            block: BlockRef::new(self.ids[idx], BlockIdx(self.tags[idx])),
+            state,
+        })
+    }
+
     /// Current state of `block` (Invalid if not resident).
     #[inline]
     pub fn state_of(&self, block: BlockRef) -> LineState {
         let idx = self.index_of(block);
-        if self.tags[idx] == Some(block) {
+        if self.tags[idx] == block.idx.0 {
             self.states[idx]
         } else {
             LineState::Invalid
@@ -159,23 +185,16 @@ impl DataCache {
     #[inline]
     pub fn probe(&self, block: BlockRef, kind: AccessKind) -> CacheOutcome {
         let idx = self.index_of(block);
-        let resident = self.tags[idx] == Some(block);
-        if resident {
-            let state = self.states[idx];
+        if self.holds(idx, block) {
             match kind {
                 AccessKind::Read => CacheOutcome::Hit,
-                AccessKind::Write if state.is_writable() => CacheOutcome::Hit,
+                AccessKind::Write if self.states[idx].is_writable() => CacheOutcome::Hit,
                 AccessKind::Write => CacheOutcome::UpgradeMiss,
             }
         } else {
-            let victim = match self.tags[idx] {
-                Some(old) if self.states[idx].is_valid() => Some(Victim {
-                    block: old,
-                    state: self.states[idx],
-                }),
-                _ => None,
-            };
-            CacheOutcome::Miss { victim }
+            CacheOutcome::Miss {
+                victim: self.other_victim(idx, block),
+            }
         }
     }
 
@@ -200,14 +219,9 @@ impl DataCache {
     pub fn fill(&mut self, block: BlockRef, state: LineState) -> Option<Victim> {
         assert!(state.is_valid(), "cannot fill a line into Invalid state");
         let idx = self.index_of(block);
-        let victim = match self.tags[idx] {
-            Some(old) if old != block && self.states[idx].is_valid() => Some(Victim {
-                block: old,
-                state: self.states[idx],
-            }),
-            _ => None,
-        };
-        self.tags[idx] = Some(block);
+        let victim = self.other_victim(idx, block);
+        self.tags[idx] = block.idx.0;
+        self.ids[idx] = block.id;
         self.states[idx] = state;
         victim
     }
@@ -215,11 +229,7 @@ impl DataCache {
     /// Complete a write-upgrade of a resident `Shared`/`Owned` line.
     pub fn upgrade(&mut self, block: BlockRef) {
         let idx = self.index_of(block);
-        debug_assert_eq!(
-            self.tags[idx],
-            Some(block),
-            "upgrade of a non-resident block"
-        );
+        debug_assert!(self.holds(idx, block), "upgrade of a non-resident block");
         self.states[idx] = LineState::Modified;
     }
 
@@ -227,11 +237,8 @@ impl DataCache {
     /// the state it held.
     pub fn invalidate(&mut self, block: BlockRef) -> LineState {
         let idx = self.index_of(block);
-        if self.tags[idx] == Some(block) && self.states[idx].is_valid() {
-            let old = self.states[idx];
-            self.states[idx] = LineState::Invalid;
-            self.tags[idx] = None;
-            old
+        if self.holds(idx, block) {
+            std::mem::replace(&mut self.states[idx], LineState::Invalid)
         } else {
             LineState::Invalid
         }
@@ -241,7 +248,7 @@ impl DataCache {
     /// Returns the previous state.
     pub fn downgrade(&mut self, block: BlockRef) -> LineState {
         let idx = self.index_of(block);
-        if self.tags[idx] == Some(block) && self.states[idx].is_valid() {
+        if self.holds(idx, block) {
             let old = self.states[idx];
             self.states[idx] = match old {
                 LineState::Modified | LineState::Owned => LineState::Owned,
@@ -255,12 +262,11 @@ impl DataCache {
 
     /// Iterate over resident blocks (used for page flushes).
     pub fn resident_blocks(&self) -> impl Iterator<Item = (BlockRef, LineState)> + '_ {
-        self.tags
-            .iter()
-            .zip(self.states.iter())
-            .filter_map(|(tag, state)| match (tag, state) {
-                (Some(b), s) if s.is_valid() => Some((*b, *s)),
-                _ => None,
+        (0..self.states.len())
+            .filter(|&idx| self.states[idx].is_valid())
+            .map(|idx| {
+                let block = BlockRef::new(self.ids[idx], BlockIdx(self.tags[idx]));
+                (block, self.states[idx])
             })
     }
 }
@@ -315,24 +321,29 @@ mod tests {
 
     #[test]
     fn conflicting_blocks_evict_each_other() {
-        let mut c = small_cache(); // 4 lines => blocks 0 and 4 conflict
-        let a = b(0);
-        let bb = b(4);
-        c.fill(a, LineState::Modified);
-        match c.access(bb, AccessKind::Read) {
-            CacheOutcome::Miss { victim: Some(v) } => {
-                assert_eq!(v.block, a);
-                assert_eq!(v.state, LineState::Modified);
-                assert!(v.state.is_dirty());
+        // Identity interning, then ids a million past their dense indices:
+        // the victim comes back as the exact ref that was filled.
+        for id_offset in [0, 1_000_000] {
+            let r = |n: u64| BlockRef::new(BlockId(n + id_offset), BlockIdx(n as u32));
+            let mut c = small_cache(); // 4 lines => blocks 0 and 4 conflict
+            let a = r(0);
+            let bb = r(4);
+            c.fill(a, LineState::Modified);
+            match c.access(bb, AccessKind::Read) {
+                CacheOutcome::Miss { victim: Some(v) } => {
+                    assert_eq!(v.block, a);
+                    assert_eq!(v.state, LineState::Modified);
+                    assert!(v.state.is_dirty());
+                }
+                other => panic!("expected conflict miss with victim, got {other:?}"),
             }
-            other => panic!("expected conflict miss with victim, got {other:?}"),
+            let victim = c
+                .fill(bb, LineState::Shared)
+                .expect("fill displaces victim");
+            assert_eq!(victim.block, a);
+            assert!(!c.contains(a));
+            assert!(c.contains(bb));
         }
-        let victim = c
-            .fill(bb, LineState::Shared)
-            .expect("fill displaces victim");
-        assert_eq!(victim.block, a);
-        assert!(!c.contains(a));
-        assert!(c.contains(bb));
     }
 
     #[test]
