@@ -8,6 +8,7 @@
 //! failures reproduce exactly from the fixed seed.
 
 use dsm_repro::prelude::*;
+use dsm_repro::protocol::directory::DataSource;
 use dsm_repro::protocol::{
     BlockCache, BlockCacheConfig, BlockState, Directory, DirectoryState, PageCache, PageCacheConfig,
 };
@@ -17,6 +18,7 @@ use mem_trace::{
     PAGE_SIZE,
 };
 use smp_node::{CacheConfig, DataCache, LineState};
+use std::collections::{BTreeMap, BTreeSet};
 
 const CASES: u64 = 64;
 
@@ -156,6 +158,206 @@ fn directory_sharer_counts_match_state() {
                 DirectoryState::Modified => assert_eq!(entry.sharer_count(), 1),
                 DirectoryState::Shared => assert!(entry.sharer_count() >= 1),
             }
+        }
+    }
+}
+
+/// A naive directory: per block, its state and its sharers.
+type DirectoryModel = BTreeMap<BlockIdx, (DirectoryState, BTreeSet<NodeId>)>;
+
+/// The model's entry for `block` (absent blocks are uncached).
+fn model_entry(model: &DirectoryModel, block: BlockIdx) -> (DirectoryState, Vec<NodeId>) {
+    model.get(&block).map_or(
+        (DirectoryState::Uncached, Vec::new()),
+        |(state, sharers)| (*state, sharers.iter().copied().collect()),
+    )
+}
+
+/// The directory against a naive `BTreeMap` reference model over random
+/// read, write, eviction and page-purge sequences.  Node ids are drawn from
+/// a range that grows through each run, so the flat table widens mid-run
+/// across the 64-, 128- and 256-node boundaries with rows already in it.
+/// Every reply and the touched blocks' entries must agree after every
+/// operation, and the whole table at the end.
+#[test]
+fn directory_matches_a_naive_reference_model() {
+    const PAGES: u64 = 3;
+    const OPS: u64 = 300;
+    const EDGES: [u64; 8] = [0, 63, 64, 127, 128, 255, 256, 511];
+    let blocks_per_page = mem_trace::BLOCKS_PER_PAGE;
+    for case in 0..CASES {
+        let mut rng = rng_for("directory-model", case);
+        let mut dir = Directory::new();
+        let mut model = DirectoryModel::new();
+        // Reused across writes and never cleared here: `handle_write_into`
+        // must replace its contents.
+        let mut scratch = vec![NodeId(9999)];
+        for step in 0..OPS {
+            let span = [64, 128, 256, 512][(step * 4 / OPS) as usize];
+            let node = if rng.next_below(2) == 0 {
+                let edges: Vec<u64> = EDGES.iter().copied().filter(|e| *e < span).collect();
+                edges[rng.next_below(edges.len() as u64) as usize]
+            } else {
+                rng.next_below(span)
+            };
+            let node = NodeId(node as u16);
+            let block = BlockIdx(rng.next_below(PAGES * blocks_per_page) as u32);
+            let label = format!("case {case} step {step}");
+            let touched: Vec<BlockIdx> = match rng.next_below(8) {
+                0..=2 => {
+                    let reply = dir.handle_read(block, node);
+                    let (state, sharers) = model.entry(block).or_default();
+                    let source = match (*state, sharers.first().copied()) {
+                        (DirectoryState::Modified, Some(owner)) if owner != node => {
+                            DataSource::Owner(owner)
+                        }
+                        _ => DataSource::HomeMemory,
+                    };
+                    assert_eq!(reply.source, source, "{label} read");
+                    assert_eq!(
+                        reply.already_sharer,
+                        sharers.contains(&node),
+                        "{label} read"
+                    );
+                    *state = DirectoryState::Shared;
+                    sharers.insert(node);
+                    vec![block]
+                }
+                3..=4 => {
+                    let (source, invalidate) = if rng.next_below(2) == 0 {
+                        let reply = dir.handle_write(block, node);
+                        (reply.source, reply.invalidate)
+                    } else {
+                        let source = dir.handle_write_into(block, node, &mut scratch);
+                        (source, scratch.clone())
+                    };
+                    let (state, sharers) = model.entry(block).or_default();
+                    let (want_source, want_invalidate) = match (*state, sharers.first().copied()) {
+                        (DirectoryState::Modified, Some(owner)) if owner != node => {
+                            (DataSource::Owner(owner), vec![owner])
+                        }
+                        (DirectoryState::Shared, _) => (
+                            DataSource::HomeMemory,
+                            sharers.iter().copied().filter(|n| *n != node).collect(),
+                        ),
+                        _ => (DataSource::HomeMemory, Vec::new()),
+                    };
+                    assert_eq!(source, want_source, "{label} write");
+                    assert_eq!(invalidate, want_invalidate, "{label} write");
+                    *state = DirectoryState::Modified;
+                    *sharers = BTreeSet::from([node]);
+                    vec![block]
+                }
+                5..=6 => {
+                    dir.handle_eviction(block, node);
+                    if let Some((state, sharers)) = model.get_mut(&block) {
+                        sharers.remove(&node);
+                        if sharers.is_empty() {
+                            *state = DirectoryState::Uncached;
+                        } else if *state == DirectoryState::Modified {
+                            *state = DirectoryState::Shared;
+                        }
+                    }
+                    vec![block]
+                }
+                _ => {
+                    let page = PageIdx(rng.next_below(PAGES) as u32);
+                    let flushed = dir.purge_page(page);
+                    let blocks: Vec<BlockIdx> = page.blocks().collect();
+                    let mut want = Vec::new();
+                    for b in &blocks {
+                        if let Some((state, sharers)) = model.get_mut(b) {
+                            if !sharers.is_empty() {
+                                want.push((*b, sharers.iter().copied().collect::<Vec<_>>()));
+                            }
+                            *state = DirectoryState::Uncached;
+                            sharers.clear();
+                        }
+                    }
+                    assert_eq!(flushed, want, "{label} purge");
+                    blocks
+                }
+            };
+            for b in touched {
+                let entry = dir.entry(b);
+                assert_eq!(
+                    (entry.state, entry.sharer_nodes()),
+                    model_entry(&model, b),
+                    "{label} entry {b:?}"
+                );
+            }
+        }
+        let mut tracked = 0;
+        for b in 0..(PAGES * blocks_per_page) as u32 {
+            let b = BlockIdx(b);
+            let (state, sharers) = model_entry(&model, b);
+            let entry = dir.entry(b);
+            assert_eq!(
+                (entry.state, entry.sharer_nodes()),
+                (state, sharers.clone())
+            );
+            let owner = (state == DirectoryState::Modified).then(|| sharers[0]);
+            assert_eq!(dir.owner_of(b), owner, "case {case} owner {b:?}");
+            tracked += usize::from(state != DirectoryState::Uncached);
+        }
+        assert_eq!(dir.tracked_blocks(), tracked, "case {case}");
+    }
+}
+
+/// The miss classifier against a `HashMap` model of each block's last
+/// departure, over block indices packed around byte boundaries (four
+/// blocks share a byte of history) and one far band that grows the table.
+#[test]
+fn miss_classifier_matches_a_hash_map_model() {
+    use smp_node::{MissClass, MissClassifier};
+    use std::collections::HashMap;
+    #[derive(Clone, Copy)]
+    enum History {
+        Resident,
+        Evicted,
+        Invalidated,
+    }
+    for case in 0..CASES {
+        let mut rng = rng_for("classifier-model", case);
+        let mut classifier = MissClassifier::new();
+        let mut model: HashMap<BlockIdx, History> = HashMap::new();
+        let mut counts = (0u64, 0u64, 0u64);
+        for step in 0..300 {
+            let base = [0u32, 1_022, 40_000][rng.next_below(3) as usize];
+            let block = BlockIdx(base + rng.next_below(6) as u32);
+            match rng.next_below(4) {
+                0 => {
+                    let want = match model.get(&block) {
+                        None => MissClass::Cold,
+                        Some(History::Resident | History::Evicted) => MissClass::CapacityConflict,
+                        Some(History::Invalidated) => MissClass::Coherence,
+                    };
+                    match want {
+                        MissClass::Cold => counts.0 += 1,
+                        MissClass::Coherence => counts.1 += 1,
+                        MissClass::CapacityConflict => counts.2 += 1,
+                    }
+                    assert_eq!(
+                        classifier.classify_miss(block),
+                        want,
+                        "case {case} step {step} {block:?}"
+                    );
+                }
+                1 => {
+                    classifier.record_fill(block);
+                    model.insert(block, History::Resident);
+                }
+                2 => {
+                    classifier.record_eviction(block);
+                    model.insert(block, History::Evicted);
+                }
+                _ => {
+                    classifier.record_invalidation(block);
+                    model.insert(block, History::Invalidated);
+                }
+            }
+            assert_eq!(classifier.counts(), counts, "case {case} step {step}");
+            assert_eq!(classifier.total(), counts.0 + counts.1 + counts.2);
         }
     }
 }
