@@ -44,6 +44,21 @@ options:
                        of generating a workload
   -h, --help           print this help and exit";
 
+/// Argument handling of a binary that takes no options: `--help` or `-h`
+/// prints `usage` and exits with status 0, and any other argument is
+/// named on stderr and exits with status 2.
+pub fn no_options(usage: &str) {
+    let Some(arg) = std::env::args().nth(1) else {
+        return;
+    };
+    if arg == "--help" || arg == "-h" {
+        println!("{usage}");
+        std::process::exit(0);
+    }
+    eprintln!("error: unexpected argument `{arg}` (this binary takes no options; run with --help)");
+    std::process::exit(2);
+}
+
 /// Why parsing stopped without producing [`Options`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CliError {
