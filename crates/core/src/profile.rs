@@ -3,7 +3,9 @@
 //!
 //! Two candidate explanations were on the table for a 96-node point
 //! costing ~10x a 64-node one: `SharerSet`s promoting off their inline
-//! word (counted by `mem_trace::sharers::profile`, re-exported here), and
+//! word (counted by `mem_trace::sharers::profile`, re-exported here; the
+//! directory no longer stores them, so these count replica masks and
+//! page-cache presence tags), and
 //! the simulator's O(nodes) gather loops — per-node work done on every
 //! page operation regardless of how many nodes are involved.  This module
 //! counts the latter so one instrumented run attributes the cliff.

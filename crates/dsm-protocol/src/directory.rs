@@ -11,8 +11,8 @@
 //! interns (see [`mem_trace::intern`]) and stored as flat rows in one
 //! `Vec<u64>`: per block a state word, then the sharer bitmask in as many
 //! words as the widest node index seen so far needs.  A transition is one
-//! row access with no allocation, and a page purge touches exactly the
-//! page's contiguous rows.  The table starts one sharer word wide and is
+//! row access, no row owns an allocation, and a page purge touches exactly
+//! the page's contiguous rows.  The table starts one sharer word wide and is
 //! re-laid out once each time a node index past its width arrives, so
 //! cluster size is a real sweep axis without a node count up front.
 //! [`DirectoryEntry`] is a view built on demand, not the storage.

@@ -396,9 +396,10 @@ impl PageInterner {
 
 /// A growable dense table keyed by an interned index: reads past the
 /// populated prefix see the default value, writes grow the backing `Vec` on
-/// demand.  This is the storage discipline behind every flattened map in the
-/// memory system (directory entries, page-table slots, miss histories,
-/// policy counters).
+/// demand.  This is the storage discipline behind most flattened maps in the
+/// memory system (page-table slots, page-cache frames, placement, policy
+/// counters); the directory and the miss classifier pack their per-block
+/// state into tables of their own.
 #[derive(Debug, Clone, Default)]
 pub struct Slab<T> {
     items: Vec<T>,

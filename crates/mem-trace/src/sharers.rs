@@ -1,11 +1,13 @@
-//! [`SharerSet`]: a scalable set of small indices (sharer nodes, replica
-//! holders, blocks present in a page frame).
+//! [`SharerSet`]: a scalable set of small indices (replica holders, blocks
+//! present in a page frame, and the sharers of a directory entry as
+//! `Directory::entry` reports them).
 //!
-//! The directory's sharer vector, the MigRep engine's replica masks and the
-//! page cache's fine-grain presence tags were all `u64` bitmasks, which
-//! hard-capped the simulated cluster at 64 nodes (and a page at 64 blocks).
-//! `SharerSet` removes the cap without giving up the hot path, through
-//! three tiers:
+//! The MigRep engine's replica masks and the page cache's fine-grain
+//! presence tags were `u64` bitmasks, which hard-capped the simulated
+//! cluster at 64 nodes (and a page at 64 blocks).  `SharerSet` removes the
+//! cap without giving up the hot path, through three tiers.  (The
+//! directory stores no `SharerSet`: its rows are flat sharer words that
+//! widen with the cluster; see `dsm_protocol::directory`.)
 //!
 //! * **inline `u64`** — members all `< 64` live in one word, bit-for-bit
 //!   the operations the masks performed;
@@ -107,10 +109,8 @@ enum Repr {
     /// over the leaf words that follow (`words[0]` bit *i* ⇔
     /// `words[1 + i] != 0`, for the first [`SUMMARY_LEAVES`] leaves).
     /// Embedding the summary in the same allocation keeps this variant's
-    /// payload at one fat pointer, so the whole enum stays the size the
-    /// old two-variant (inline/boxed) representation had — directory
-    /// entries hold one of these per block, and growing them measurably
-    /// regresses the simulator's cache locality.
+    /// payload at one fat pointer, so the whole enum stays 24 bytes, the
+    /// size the old two-variant (inline/boxed) representation had.
     Hier(Box<[u64]>),
 }
 

@@ -3,8 +3,9 @@
 //! The paper's machine tops out at 8 nodes and earlier PRs' sweeps at 96;
 //! this example pushes the cluster-nodes axis to 256 and 512 — the
 //! disaggregated-memory regime where sharer metadata spans hundreds of
-//! nodes and the tiered `SharerSet` (inline u64/u128 tiers, hierarchical
-//! bitset above) carries the directory.  Each node runs one processor so
+//! nodes: the directory's flat rows widen to eight sharer words, and the
+//! tiered `SharerSet` (inline u64/u128 tiers, hierarchical bitset above)
+//! carries MigRep's replica masks.  Each node runs one processor so
 //! the total work grows only linearly while the *sharer universe* widens;
 //! what the grid shows is how migration/replication and remote caching
 //! trade off as the same problem spreads across ever more homes.

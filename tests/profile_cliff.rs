@@ -4,7 +4,9 @@
 //! Two suspects: `SharerSet`s promoting off their inline tiers (every
 //! membership op on a promoted set walks a boxed bitset), and the
 //! simulator's O(nodes) gather loop in `migrate_page` (every migration
-//! updates every node's view, touched or not).  This run counts both at 8
+//! updates every node's view, touched or not).  The directory keeps flat
+//! sharer rows and no `SharerSet`, so the tier counters now see only
+//! MigRep replica masks and page-cache presence tags.  This run counts both at 8
 //! vs 96 nodes and prints per-access rates so the dominant term is a fact,
 //! not a guess.  It also prints the batched run loop's burst-occupancy
 //! histogram: mass piled into bucket 0 means the schedule forces
