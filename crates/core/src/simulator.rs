@@ -236,8 +236,8 @@ struct RunState<'a> {
     /// locality (consecutive same-proc references usually stay on one
     /// page), so this skips the interner's hash probe for most of a burst.
     page_memo: Option<PageRef>,
-    /// The nodes a write must invalidate, reused by every write so that
-    /// none allocates.
+    /// The nodes a write must invalidate: one list reused by every write,
+    /// instead of a reply allocated per write.
     invalidate: Vec<NodeId>,
 }
 
