@@ -250,6 +250,8 @@ fn directory_matches_a_naive_reference_model() {
                 }
                 5..=6 => {
                     dir.handle_eviction(block, node);
+                    // As in the directory, an eviction by a node that holds
+                    // no copy still demotes a Modified block to Shared.
                     if let Some((state, sharers)) = model.get_mut(&block) {
                         sharers.remove(&node);
                         if sharers.is_empty() {
