@@ -147,10 +147,12 @@ impl DataCache {
         self.map.line_of(block.id)
     }
 
-    /// `true` if line `idx` holds `block`.
+    /// `true` if line `idx` holds `block`.  The tag is compared first: a
+    /// sibling cache probed by a write's invalidation usually holds another
+    /// block, and then the state is never read.
     #[inline]
     fn holds(&self, idx: usize, block: BlockRef) -> bool {
-        self.states[idx].is_valid() && self.tags[idx] == block.idx.0
+        self.tags[idx] == block.idx.0 && self.states[idx].is_valid()
     }
 
     /// The block line `idx` holds, with its state, if the line is valid and
